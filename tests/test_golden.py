@@ -1,0 +1,223 @@
+"""Golden-output guard: recorded outputs the program must keep reproducing.
+
+`golden/cli.json` holds every subcommand's stdout and exit code for fixed
+inputs.  Non-float fields must match exactly; floats may differ by 1e-12
+relative or 1e-12 absolute, which admits last-bit changes from refactoring
+but nothing a reader of the output could notice.  `golden/rates.json` holds
+water-filling rates on random instances (covariances stored in full), which
+must agree to 1e-12 relative.  Regenerate both files (after checking every
+difference) with
+
+    PYTHONPATH=src:tests python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from remoterdf.cli import main
+from remoterdf.core import conditional_stats, validate_spec
+from remoterdf.waterfill import distortion_range, solve_waterfill, spectral_setup
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+RATES = Path(__file__).parent / "golden" / "rates.json"
+RATE_DIMS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (6, 2),
+             (8, 2), (8, 3)]
+RATE_FRACTIONS = [0.001, 0.05, 0.3, 0.6, 0.9, 0.999]
+FLOAT_TOL = 1e-12
+
+SPECS = {
+    # The README example: Q_{X|Y} = 0.5, Q_{S|Y} = 1, Q_{X,S|Y} = 0.5.
+    "scalar": {
+        "dims": {"n_x": 1, "n_s": 1, "n_y": 1},
+        "covariance": [[1.0, 1.0, 1.0], [1.0, 1.5, 1.0], [1.0, 1.0, 2.0]],
+        "label": "scalar-example",
+    },
+    # A fixed 2x2 instance; finite-rate range about (0.4354, 1.0827), with
+    # both components active below about 0.523.
+    "pair": {
+        "dims": {"n_x": 2, "n_s": 2, "n_y": 1},
+        "covariance": [
+            [1.0, -0.2556, 0.0296, 0.582, 0.225],
+            [-0.2556, 0.2499, -0.0887, -0.054, -0.2561],
+            [0.0296, -0.0887, 0.2166, -0.2005, -0.053],
+            [0.582, -0.054, -0.2005, 0.7988, 0.1242],
+            [0.225, -0.2561, -0.053, 0.1242, 0.6949],
+        ],
+        "label": "pair-example",
+    },
+}
+
+CASES = {
+    "curve-scalar-csv": ["curve", "{scalar}", "--delta-min", "0.2", "--delta-max", "0.6",
+                         "--points", "41"],
+    "curve-scalar-json": ["curve", "{scalar}", "--deltas", "0.3,0.375,0.45,0.5",
+                          "--format", "json"],
+    "curve-pair-csv": ["curve", "{pair}", "--delta-min", "0.4", "--delta-max", "1.1",
+                       "--points", "15"],
+    "curve-pair-json-bits": ["curve", "{pair}", "--delta-min", "0.4", "--delta-max", "1.1",
+                             "--points", "8", "--format", "json", "--bits"],
+    "channel-scalar-json": ["channel", "{scalar}", "--delta", "0.375"],
+    "channel-scalar-csv": ["channel", "{scalar}", "--delta", "0.375", "--format", "csv"],
+    "channel-scalar-upper": ["channel", "{scalar}", "--delta", "0.5"],
+    "channel-scalar-lower": ["channel", "{scalar}", "--delta", "0.25"],
+    "channel-pair-json": ["channel", "{pair}", "--delta", "0.48"],
+    "channel-pair-csv": ["channel", "{pair}", "--delta", "0.8", "--format", "csv"],
+    "verify-scalar-json": ["verify", "{scalar}", "--delta", "0.375", "--samples", "20000",
+                           "--seed", "0"],
+    "verify-pair-csv": ["verify", "{pair}", "--delta", "0.7", "--samples", "20000",
+                        "--seed", "0", "--format", "csv"],
+    "oracle-scalar-json": ["oracle", "{scalar}", "--delta", "0.375"],
+    "oracle-scalar-csv": ["oracle", "{scalar}", "--delta", "0.3", "--format", "csv"],
+    "remark3-csv": ["remark3", "--q", "1.0", "--deltas", "0.5,0.9,0.99,1.0"],
+    "remark3-json": ["remark3", "--q", "2.0", "--delta-min", "0.2", "--delta-max", "2.0",
+                     "--points", "10", "--format", "json"],
+}
+
+
+def write_specs(directory: Path) -> dict:
+    paths = {}
+    for name, doc in SPECS.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+def run_case(argv, paths) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([arg.format(**paths) for arg in argv])
+    return code, out.getvalue()
+
+
+def _token_mismatch(expected: str, actual: str) -> bool:
+    try:
+        return int(expected) != int(actual)
+    except ValueError:
+        pass
+    try:
+        return _float_mismatch(float(expected), float(actual))
+    except ValueError:
+        return expected != actual
+
+
+def _float_mismatch(expected: float, actual: float) -> bool:
+    if math.isnan(expected) or math.isnan(actual):
+        return not (math.isnan(expected) and math.isnan(actual))
+    return not math.isclose(expected, actual, rel_tol=FLOAT_TOL, abs_tol=FLOAT_TOL)
+
+
+def json_mismatches(expected, actual, where="$") -> list[str]:
+    if isinstance(expected, float) and isinstance(actual, float):
+        return [where] if _float_mismatch(expected, actual) else []
+    if type(expected) is not type(actual):
+        return [where]
+    if isinstance(expected, dict):
+        if expected.keys() != actual.keys():
+            return [where]
+        return [m for k in expected for m in json_mismatches(expected[k], actual[k], f"{where}.{k}")]
+    if isinstance(expected, list):
+        if len(expected) != len(actual):
+            return [where]
+        return [m for i, (e, a) in enumerate(zip(expected, actual))
+                for m in json_mismatches(e, a, f"{where}[{i}]")]
+    return [] if expected == actual else [where]
+
+
+def csv_mismatches(expected: str, actual: str) -> list[str]:
+    exp_lines, act_lines = expected.splitlines(), actual.splitlines()
+    if len(exp_lines) != len(act_lines):
+        return ["line count"]
+    found = []
+    for row, (e, a) in enumerate(zip(exp_lines, act_lines)):
+        e_tok, a_tok = e.split(","), a.split(",")
+        if len(e_tok) != len(a_tok) or any(map(_token_mismatch, e_tok, a_tok)):
+            found.append(f"line {row + 1}: expected {e!r}, got {a!r}")
+    return found
+
+
+def output_mismatches(expected: str, actual: str) -> list[str]:
+    try:
+        doc = json.loads(expected)
+    except ValueError:
+        return csv_mismatches(expected, actual)
+    return json_mismatches(doc, json.loads(actual))
+
+
+GOLDEN_DOC = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+
+
+def test_golden_covers_every_case():
+    assert sorted(GOLDEN_DOC) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path):
+    recorded = GOLDEN_DOC[name]
+    assert recorded["argv"] == CASES[name]
+    code, out = run_case(CASES[name], write_specs(tmp_path))
+    assert code == recorded["code"]
+    assert output_mismatches(recorded["stdout"], out) == []
+
+
+def solve_rates(q, dims, deltas) -> list[float]:
+    spec = validate_spec(np.array(q), tuple(dims))
+    setup = spectral_setup(spec, conditional_stats(spec))
+    return [solve_waterfill(spec, setup, delta).rate for delta in deltas]
+
+
+RATES_DOC = json.loads(RATES.read_text(encoding="utf-8")) if RATES.exists() else []
+
+
+@pytest.mark.parametrize("index", range(len(RATE_DIMS)))
+def test_rates_match_golden(index):
+    recorded = RATES_DOC[index]
+    rates = solve_rates(recorded["covariance"], recorded["dims"], recorded["deltas"])
+    for expected, actual in zip(recorded["rates"], rates, strict=True):
+        assert actual == pytest.approx(expected, rel=FLOAT_TOL, abs=0.0)
+
+
+def record_rates() -> list[dict]:
+    from conftest import random_feasible_spec
+
+    rng = np.random.default_rng(2108)
+    instances = []
+    for n, n_y in RATE_DIMS:
+        spec = random_feasible_spec(rng, n, n_y)
+        lo, hi = distortion_range(spec, spectral_setup(spec, conditional_stats(spec)))
+        deltas = [lo + f * (hi - lo) for f in RATE_FRACTIONS]
+        dims = [spec.n_x, spec.n_s, spec.n_y]
+        instances.append({"dims": dims, "covariance": spec.q.tolist(), "deltas": deltas,
+                          "rates": solve_rates(spec.q, dims, deltas)})
+    return instances
+
+
+def test_comparison_rejects_changed_fields():
+    assert csv_mismatches("a,1,0.5\n", "a,1,0.5000000000000001\n") == []
+    assert csv_mismatches("a,1,0.5\n", "a,2,0.5\n")
+    assert csv_mismatches("a,1,0.5\n", "a,1,0.5000001\n")
+    assert csv_mismatches("a,true\n", "a,false\n")
+    assert json_mismatches({"x": [0.5, 1]}, {"x": [0.5 + 1e-16, 1]}) == []
+    assert json_mismatches({"x": [0.5, 1]}, {"x": [0.5, 2]})
+    assert json_mismatches({"x": True}, {"x": 1})
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_paths = write_specs(Path(tmp))
+        doc = {}
+        for case, argv in CASES.items():
+            code, out = run_case(argv, spec_paths)
+            doc[case] = {"argv": argv, "code": code, "stdout": out}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    RATES.write_text(json.dumps(record_rates()) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN} and {RATES}", file=sys.stderr)
