@@ -11,12 +11,10 @@ caller converts; the CLI reports both nats and bits.
 
 from .channel import (
     ChannelRate,
-    DecoderSplit,
     SimulationResult,
     StructuralReport,
     TestChannel,
     build_channel,
-    decoder_only_form,
     distortion_covariance,
     joint_with_reproduction,
     rate_of_channel,
@@ -63,7 +61,6 @@ __all__ = [
     "ChannelRate",
     "ConditionalStats",
     "CurvePoint",
-    "DecoderSplit",
     "GaussianSourceSpec",
     "OracleResolution",
     "OracleResult",
@@ -80,7 +77,6 @@ __all__ = [
     "classical_scalar_rdf",
     "conditional_covariance",
     "conditional_stats",
-    "decoder_only_form",
     "distortion_covariance",
     "distortion_range",
     "dump_spec_document",

@@ -10,7 +10,8 @@ are
     Q_W = Q_{X|Y} - Sigma - H Q_{S|Y} H^T
 
 The same matrices also realize the decoder-only split X_hat = G Y + Z with
-Z = H S + W, where Z is what an encoder without access to Y would transmit.
+Z = H S + W, where Z is what an encoder without access to Y would transmit:
+the channel's own `h`, `q_w` and `g`, regrouped.
 `verify_structure` recomputes every claimed conditional-independence and
 conditional-mean property of the construction analytically from second
 moments and reports the residuals; `simulate_channel` checks the distortion
@@ -26,12 +27,11 @@ import numpy as np
 
 from .core import (
     INV_TOL,
-    PSD_TOL_SCALE,
     ConditionalStats,
     GaussianSourceSpec,
-    conditional_stats,
     gaussian_cmi,
     pseudo_inverse,
+    psd_tolerance,
     symmetric_sqrt,
     symmetrize,
 )
@@ -52,7 +52,8 @@ class TestChannel:
     """Realization matrices of the optimal reproduction channel.
 
     `q_xhat_given_y` and `q_s_given_xhat_y` are derived at construction and
-    carried along because every consumer needs them.
+    carried along because every consumer needs them; `q_s_given_y` is the
+    source's Q_{S|Y}, the prior the measurement-side rate is taken against.
     """
 
     __test__ = False  # domain type, not a pytest class
@@ -63,15 +64,7 @@ class TestChannel:
     sigma_delta: np.ndarray
     q_xhat_given_y: np.ndarray
     q_s_given_xhat_y: np.ndarray
-
-
-@dataclass(frozen=True)
-class DecoderSplit:
-    """Decoder-only rearrangement: Z = H S + W transmitted, X_hat = G Y + Z."""
-
-    h: np.ndarray
-    q_w: np.ndarray
-    g: np.ndarray
+    q_s_given_y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,7 @@ def build_channel(
     sigma = symmetrize(sigma)
 
     q_xy = stats.q_x_given_y
-    tol = PSD_TOL_SCALE * max(float(np.max(np.linalg.eigvalsh(q_xy))), 1.0)
+    tol = psd_tolerance(float(np.max(np.linalg.eigvalsh(q_xy))))
     if float(np.min(np.linalg.eigvalsh(sigma))) < -tol:
         raise InfeasibleSigmaError("distortion covariance has a negative eigenvalue")
     if float(np.min(np.linalg.eigvalsh(q_xy - sigma))) < -tol:
@@ -179,16 +172,8 @@ def build_channel(
         sigma_delta=sigma,
         q_xhat_given_y=m,
         q_s_given_xhat_y=q_s_post,
+        q_s_given_y=stats.q_s_given_y,
     )
-
-
-def decoder_only_form(channel: TestChannel) -> DecoderSplit:
-    """Split the reproduction into the transmitted part Z and the decoder map.
-
-    The composition G Y + (H S + W) reproduces the joint realization exactly:
-    the matrices are the same, only the grouping changes.
-    """
-    return DecoderSplit(h=channel.h, q_w=channel.q_w, g=channel.g)
 
 
 def joint_with_reproduction(spec: GaussianSourceSpec, channel: TestChannel) -> np.ndarray:
@@ -304,8 +289,7 @@ def rate_of_channel(spec: GaussianSourceSpec, channel: TestChannel) -> ChannelRa
     channel built by `build_channel`; the discrepancy is returned so callers
     can surface disagreement.
     """
-    stats = conditional_stats(spec)
-    rate = gaussian_cmi(stats.q_s_given_y, channel.q_s_given_xhat_y)
+    rate = gaussian_cmi(channel.q_s_given_y, channel.q_s_given_xhat_y)
     rate_alt = gaussian_cmi(channel.q_xhat_given_y, channel.q_w)
     if math.isinf(rate) and math.isinf(rate_alt):
         discrepancy = 0.0

@@ -26,7 +26,6 @@ import numpy as np
 
 from .channel import (
     build_channel,
-    decoder_only_form,
     rate_of_channel,
     simulate_channel,
     verify_structure,
@@ -179,7 +178,6 @@ def cmd_channel(args) -> int:
     ch = build_channel(spec, stats, sol.sigma_delta)
     rates = rate_of_channel(spec, ch)
     report = verify_structure(spec, ch)
-    split = decoder_only_form(ch)
     unit = "bits" if args.bits else "nats"
     headline = rates.rate / LN2 if args.bits else rates.rate
 
@@ -241,9 +239,9 @@ def cmd_channel(args) -> int:
                     "q_s_given_xhat_y": _matrix(ch.q_s_given_xhat_y),
                 },
                 "decoder_only": {
-                    "h": _matrix(split.h),
-                    "q_w": _matrix(split.q_w),
-                    "g": _matrix(split.g),
+                    "h": _matrix(ch.h),
+                    "q_w": _matrix(ch.q_w),
+                    "g": _matrix(ch.g),
                 },
                 "structural_residuals": report.residuals,
                 "structural_pass": report.all_pass,
@@ -370,13 +368,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_remark3(args) -> int:
-    if args.deltas is not None:
-        grid = [float(tok) for tok in args.deltas.split(",") if tok.strip()]
-    else:
-        if args.delta_min is None or args.delta_max is None or args.points is None:
-            raise ValueError("need --deltas or all of --delta-min, --delta-max, --points")
-        grid = [float(d) for d in np.linspace(args.delta_min, args.delta_max, args.points)]
-    rows = remark3_discrepancy(args.q, grid)
+    rows = remark3_discrepancy(args.q, _parse_grid(args))
     if args.format == "csv":
         lines = [REMARK3_HEADER]
         for r in rows:

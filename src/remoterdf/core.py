@@ -28,12 +28,12 @@ INV_TOL = 1e-10        # strictly-positive-definite threshold
 RANK_TOL = 1e-12       # singular values below RANK_TOL * sigma_max count as zero
 
 
-def psd_tolerance(m: np.ndarray) -> float:
-    """Eigenvalue tolerance for PSD tests on `m`: scale-aware with a floor of 1."""
-    if m.size == 0:
-        return PSD_TOL_SCALE
-    scale = float(np.max(np.linalg.eigvalsh(m))) if m.shape[0] > 0 else 0.0
-    return PSD_TOL_SCALE * max(scale, 1.0)
+def psd_tolerance(largest_eigenvalue: float) -> float:
+    """Eigenvalue tolerance for PSD tests on a matrix with this largest eigenvalue.
+
+    Scale-aware above 1, absolute below it.
+    """
+    return PSD_TOL_SCALE * max(largest_eigenvalue, 1.0)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -147,7 +147,7 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
     q = symmetrize(q_raw)
 
     eigs = np.linalg.eigvalsh(q)
-    psd_tol = PSD_TOL_SCALE * max(float(eigs[-1]), 1.0)
+    psd_tol = psd_tolerance(float(eigs[-1]))
     if float(eigs[0]) < -psd_tol:
         raise NotPSDError(float(eigs[0]), psd_tol)
 
@@ -213,7 +213,7 @@ def symmetric_sqrt(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     eigvals, eigvecs = np.linalg.eigh(symmetrize(m))
-    tol = PSD_TOL_SCALE * max(float(eigvals[-1]), 1.0) if eigvals.size else 0.0
+    tol = psd_tolerance(float(eigvals[-1])) if eigvals.size else 0.0
     if eigvals.size and float(eigvals[0]) < -tol:
         raise NotPSDError(float(eigvals[0]), tol)
     clamped = np.where(eigvals < tol, 0.0, eigvals)
@@ -254,7 +254,7 @@ def gaussian_cmi(q_prior: np.ndarray, q_posterior: np.ndarray) -> float:
         raise ValueError("prior and posterior covariances must have the same shape")
 
     prior_eigs, prior_vecs = np.linalg.eigh(q_prior)
-    tol = PSD_TOL_SCALE * max(float(prior_eigs[-1]), 1.0) if prior_eigs.size else 0.0
+    tol = psd_tolerance(float(prior_eigs[-1])) if prior_eigs.size else 0.0
     if prior_eigs.size and float(prior_eigs[0]) < -tol:
         raise NotPSDError(float(prior_eigs[0]), tol, what="prior covariance")
 

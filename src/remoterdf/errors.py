@@ -106,9 +106,5 @@ class ResolutionTooCoarseError(RemoteRdfError):
         )
 
 
-class BisectionError(RemoteRdfError):
-    """Water-level bisection failed to reach tolerance within the iteration cap."""
-
-
 class SpecFileError(RemoteRdfError):
     """Source-spec document is malformed; the message names the offending field."""

@@ -8,9 +8,11 @@ The allocations follow a water level xi:
 
     lambda_i = 1/d_i^2 - 1/(2 xi)   when xi > d_i^2 / 2, else 0
 
-with xi chosen so the allocations sum to trace(Q_{X|Y}) - delta.  The level is
-found by bisection; the total allocation is continuous and non-decreasing in
-xi, so bisection converges to any tolerance.
+with xi chosen so the allocations sum to trace(Q_{X|Y}) - delta.  This is
+reverse water-filling (Cover & Thomas, Elements of Information Theory, 2nd
+ed., 10.3.3), so the level has a closed form: with the d_i ascending, the k
+components with the largest 1/d_i^2 are active and 1/(2 xi) is the mean
+excess of their 1/d_i^2 over the target.
 
 Distortions at or below delta_min = trace(Q_{X|Y}) - sum(1/d_i^2) carry
 infinite rate and are rejected; distortions above delta_plus = trace(Q_{X|Y})
@@ -19,6 +21,7 @@ need no coding and return a flagged zero-rate solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,26 +35,24 @@ from .core import (
     symmetric_sqrt,
     symmetrize,
 )
-from .errors import BelowRangeError, BisectionError, HypothesisViolatedError
-
-WATER_TOL_SCALE = 1e-10   # allocation-sum tolerance, relative to trace(Q_{X|Y})
-MAX_BISECT_ITER = 200
+from .errors import BelowRangeError, HypothesisViolatedError
 
 
 @dataclass(frozen=True)
 class SpectralSetup:
     """SVD of the reduction matrix with singular values sorted ascending.
 
-    Columns of `u`/`v` are permuted with `d` and sign-fixed so the
-    largest-magnitude entry of every column of `u` is positive; `active`
-    indexes the nonzero singular values.
+    Columns of `u` are permuted with `d` and sign-fixed so the
+    largest-magnitude entry of each is positive; `active` indexes the
+    nonzero singular values.  `q_x_given_y` is carried so that solving at
+    any distortion needs no further conditional statistics.
     """
 
     q_mat: np.ndarray
     u: np.ndarray
-    v: np.ndarray
     d: np.ndarray
     active: np.ndarray
+    q_x_given_y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,22 +115,22 @@ def spectral_setup(spec: GaussianSourceSpec, stats: ConditionalStats) -> Spectra
     root_s = symmetric_sqrt(stats.q_s_given_y)
     q_mat = np.linalg.solve(stats.q_xs_given_y.T, root_s).T
 
-    v_desc, d_desc, ut_desc = np.linalg.svd(q_mat)
+    _, d_desc, ut_desc = np.linalg.svd(q_mat)
     d = d_desc[::-1].copy()
-    v = v_desc[:, ::-1].copy()
     u = ut_desc[::-1, :].T.copy()
     for i in range(d.size):
         lead = int(np.argmax(np.abs(u[:, i])))
         if u[lead, i] < 0.0:
             u[:, i] = -u[:, i]
-            v[:, i] = -v[:, i]
     active = np.flatnonzero(d > RANK_TOL * (d[-1] if d.size else 0.0))
-    return SpectralSetup(q_mat=q_mat, u=u, v=v, d=d, active=active)
+    return SpectralSetup(
+        q_mat=q_mat, u=u, d=d, active=active, q_x_given_y=stats.q_x_given_y
+    )
 
 
 def distortion_range(spec: GaussianSourceSpec, setup: SpectralSetup) -> tuple[float, float]:
     """Boundaries (delta_min, delta_plus) of the finite-rate distortion regime."""
-    trace_xy = float(np.trace(conditional_stats(spec).q_x_given_y))
+    trace_xy = float(np.trace(setup.q_x_given_y))
     return _range_from_trace(trace_xy, setup), trace_xy
 
 
@@ -138,44 +139,36 @@ def _range_from_trace(trace_xy: float, setup: SpectralSetup) -> float:
     return trace_xy - float(np.sum(1.0 / d_act**2))
 
 
-def _total_water(xi: float, d_sq: np.ndarray) -> float:
-    return float(np.sum(np.maximum(0.0, 1.0 / d_sq - 1.0 / (2.0 * xi))))
+def _water_level(d_sq: np.ndarray, target: float) -> tuple[float, np.ndarray]:
+    """Level xi and allocations for a total allocation of `target` >= 0.
 
+    `d_sq` is ascending, so c = 1/d_sq is descending.  With C_k the sum of
+    the first k entries of c, the total allocation when 1/(2 xi) reaches c_k
+    is the breakpoint total C_k - k c_k; the active count k is the number of
+    breakpoint totals below the target, and then 1/(2 xi) = (C_k - target)/k.
 
-def _solve_water_level(d_sq: np.ndarray, target: float, tol: float) -> float:
-    """Bisect for the level xi with total allocation equal to target.
-
-    The bracket starts at [min d^2/2, max d^2/2] (zero allocation at the low
-    end) and the high end doubles until it covers the target; the allocation
-    is monotone in xi so plain bisection converges.  The bracket is shrunk to
-    float adjacency and the low endpoint is returned, so the allocation sum
-    never overshoots the target (a grid-search oracle can then never beat the
-    returned rate beyond roundoff).
+    Invariant: the returned allocations never sum to more than `target`, so
+    the rate is never below the true optimum and a grid-search oracle can
+    never beat it.  Rounding can overshoot by a few ulps; xi is then stepped
+    down, one ulp first and doubling the step each time (but never by more
+    than half), until the sum fits.  The loop ends at the latest once xi is
+    below d_sq[0] / 2, where every allocation is zero.  The excess
+    C_k - target is taken as at least one ulp of the target, which keeps xi
+    finite when the target equals the full capacity C_n to rounding.
     """
-    xi_lo = 0.5 * float(d_sq[0])
-    if target <= 0.0:
-        return xi_lo
-    xi_hi = 0.5 * float(d_sq[-1])
-    for _ in range(MAX_BISECT_ITER):
-        if _total_water(xi_hi, d_sq) >= target:
-            break
-        xi_hi *= 2.0
-    else:
-        raise BisectionError("water-level bracket failed to cover the target allocation")
-    for _ in range(MAX_BISECT_ITER):
-        xi_mid = 0.5 * (xi_lo + xi_hi)
-        if xi_mid <= xi_lo or xi_mid >= xi_hi:
-            break
-        if _total_water(xi_mid, d_sq) < target:
-            xi_lo = xi_mid
-        else:
-            xi_hi = xi_mid
-    water_error = abs(_total_water(xi_lo, d_sq) - target)
-    if water_error > tol:
-        raise BisectionError(
-            f"bisection stalled with allocation error {water_error:.3e} > {tol:.3e}"
-        )
-    return xi_lo
+    inv = 1.0 / d_sq
+    cum = np.cumsum(inv)
+    breakpoints = cum[1:] - np.arange(2, inv.size + 1) * inv[1:]
+    k = int(np.searchsorted(breakpoints, target)) + 1
+    excess = max(float(cum[k - 1]) - target, float(np.spacing(target)))
+    xi = k / (2.0 * excess)
+    ulps = 1.0
+    while True:
+        lam = np.maximum(0.0, inv - 1.0 / (2.0 * xi))
+        if np.sum(lam) <= target:
+            return xi, lam
+        xi = max(xi - ulps * (xi - float(np.nextafter(xi, 0.0))), 0.5 * xi)
+        ulps *= 2.0
 
 
 def solve_waterfill(
@@ -183,13 +176,16 @@ def solve_waterfill(
 ) -> WaterfillSolution:
     """Solve the allocation problem at distortion `delta`.
 
-    Raises BelowRangeError for delta <= delta_min (infinite rate).  For
-    delta > delta_plus no rate is needed: the solution is returned with all
-    allocations zero and `above_range` set instead of raising.
+    Raises ValueError for a NaN or infinite delta and BelowRangeError for
+    delta <= delta_min (infinite rate).  For delta > delta_plus no rate is
+    needed: the solution is returned with all allocations zero and
+    `above_range` set instead of raising.
     """
     delta = float(delta)
-    stats = conditional_stats(spec)
-    trace_xy = float(np.trace(stats.q_x_given_y))
+    if not math.isfinite(delta):
+        raise ValueError(f"distortion must be finite, got {delta!r}")
+    q_x_given_y = setup.q_x_given_y
+    trace_xy = float(np.trace(q_x_given_y))
     delta_min = _range_from_trace(trace_xy, setup)
     if delta <= delta_min:
         raise BelowRangeError(delta, delta_min)
@@ -205,8 +201,7 @@ def solve_waterfill(
         water_error = 0.0
     else:
         target = trace_xy - delta
-        xi = _solve_water_level(d_sq, target, WATER_TOL_SCALE * trace_xy)
-        lam_act = np.maximum(0.0, 1.0 / d_sq - 1.0 / (2.0 * xi))
+        xi, lam_act = _water_level(d_sq, target)
         lam[setup.active] = lam_act
         on = lam_act > 0.0
         rate = 0.5 * float(np.sum(np.log(2.0 * xi / d_sq[on])))
@@ -214,7 +209,7 @@ def solve_waterfill(
         water_error = abs(float(np.sum(lam_act)) - target)
 
     q_xhat = symmetrize((setup.u * lam) @ setup.u.T)
-    sigma_delta = symmetrize(stats.q_x_given_y - q_xhat)
+    sigma_delta = symmetrize(q_x_given_y - q_xhat)
     return WaterfillSolution(
         delta=delta,
         rate=rate,
@@ -227,35 +222,36 @@ def solve_waterfill(
     )
 
 
+def _failed_point(delta: float, error: str) -> CurvePoint:
+    return CurvePoint(
+        delta=delta, rate=None, xi=None, active_count=None, feasible=False, error=error
+    )
+
+
 def rdf_curve(spec: GaussianSourceSpec, deltas) -> RdfCurve:
     """Sweep the rate-distortion curve over an ascending distortion grid.
 
     Points at or below delta_min are annotated (feasible=False,
-    error="below_range") and the sweep continues.  Each point is solved
-    independently, so results do not depend on evaluation order.
+    error="below_range"), as are NaN or infinite points (error="non_finite"),
+    and the sweep continues; the finite points must be ascending.  Each point
+    is solved independently, so results do not depend on evaluation order.
     """
     grid = [float(d) for d in deltas]
     if not grid:
         raise ValueError("distortion grid is empty")
-    if any(b < a for a, b in zip(grid, grid[1:])):
+    finite = [d for d in grid if math.isfinite(d)]
+    if any(b < a for a, b in zip(finite, finite[1:])):
         raise ValueError("distortion grid must be sorted ascending")
-    stats = conditional_stats(spec)
-    setup = spectral_setup(spec, stats)
+    setup = spectral_setup(spec, conditional_stats(spec))
     points = []
     for delta in grid:
+        if not math.isfinite(delta):
+            points.append(_failed_point(delta, "non_finite"))
+            continue
         try:
             sol = solve_waterfill(spec, setup, delta)
         except BelowRangeError:
-            points.append(
-                CurvePoint(
-                    delta=delta,
-                    rate=None,
-                    xi=None,
-                    active_count=None,
-                    feasible=False,
-                    error="below_range",
-                )
-            )
+            points.append(_failed_point(delta, "below_range"))
         else:
             points.append(
                 CurvePoint(

@@ -12,7 +12,6 @@ import pytest
 
 from remoterdf.channel import (
     build_channel,
-    decoder_only_form,
     joint_with_reproduction,
     rate_of_channel,
     simulate_channel,
@@ -102,12 +101,11 @@ def test_criterion_3_rdf_equality_and_structure():
         ch = build_channel(spec, stats, sol.sigma_delta)
 
         rate_joint = rate_of_channel(spec, ch).rate
-        split = decoder_only_form(ch)
-        # Second moments of (S, Z, Y) under Z = H S + W, no reuse of the
-        # joint-realization posterior.
-        q_z = split.h @ spec.q_s @ split.h.T + split.q_w
-        c_sz = spec.q_s @ split.h.T
-        c_zy = split.h @ spec.q_sy
+        # Second moments of (S, Z, Y) under the decoder-only split Z = H S + W,
+        # no reuse of the joint-realization posterior.
+        q_z = ch.h @ spec.q_s @ ch.h.T + ch.q_w
+        c_sz = spec.q_s @ ch.h.T
+        c_zy = ch.h @ spec.q_sy
         j = np.block(
             [
                 [spec.q_s, c_sz, spec.q_sy],

@@ -6,7 +6,6 @@ import pytest
 
 from remoterdf.channel import (
     build_channel,
-    decoder_only_form,
     distortion_covariance,
     joint_with_reproduction,
     rate_of_channel,
@@ -115,38 +114,37 @@ class TestBuildChannel:
 
 
 class TestDecoderOnlyForm:
+    """The decoder-only split X_hat = G Y + Z, Z = H S + W, read off the channel."""
+
     def test_same_matrices_regrouped(self, scalar_spec):
         ch = channel_at(scalar_spec, 0.375)
-        split = decoder_only_form(ch)
-        assert split.h is ch.h and split.q_w is ch.q_w and split.g is ch.g
-        assert split.h[0, 0] == pytest.approx(0.25)
-        assert split.q_w[0, 0] == pytest.approx(0.0625)
-        assert split.g[0, 0] == pytest.approx(0.375)
+        assert ch.h[0, 0] == pytest.approx(0.25)
+        assert ch.q_w[0, 0] == pytest.approx(0.0625)
+        assert ch.g[0, 0] == pytest.approx(0.375)
 
     def test_zero_rate_channel_transmits_nothing(self, scalar_spec):
         stats = conditional_stats(scalar_spec)
-        split = decoder_only_form(channel_at(scalar_spec, stats.q_x_given_y))
-        assert split.h[0, 0] == pytest.approx(0.0, abs=1e-14)
-        assert split.q_w[0, 0] == pytest.approx(0.0, abs=1e-14)
+        ch = channel_at(scalar_spec, stats.q_x_given_y)
+        assert ch.h[0, 0] == pytest.approx(0.0, abs=1e-14)
+        assert ch.q_w[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_trivial_side_information_classical_shape(self):
         # X = S with Y independent: the decoder adds nothing, X_hat = Z.
         q = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         spec = validate_spec(q, (1, 1, 1))
-        split = decoder_only_form(channel_at(spec, 0.5))
-        assert split.g[0, 0] == pytest.approx(0.0, abs=1e-14)
+        assert channel_at(spec, 0.5).g[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_split_reproduces_joint_second_moments(self, make_spec):
         rng = np.random.default_rng(53)
         spec = make_spec(rng, 2, 2)
         ch, _ = waterfill_channel(spec, 0.4)
-        split = decoder_only_form(ch)
-        # Reassemble cov(X_hat, .) from the split and compare with the joint form.
+        # Reassemble cov(X_hat, .) as G Y + (H S + W) and compare with the
+        # joint form.
         joint = joint_with_reproduction(spec, ch)
         n = spec.n_total
         ss = slice(spec.n_x, spec.n_x + spec.n_s)
         sy = slice(spec.n_x + spec.n_s, n)
-        cross = split.h @ spec.q[ss, :] + split.g @ spec.q[sy, :]
+        cross = ch.h @ spec.q[ss, :] + ch.g @ spec.q[sy, :]
         assert np.linalg.norm(joint[n:, :n] - cross, "fro") < 1e-12
 
 

@@ -116,6 +116,15 @@ class TestCurve:
         assert code == 1
         assert "ascending" in err
 
+    def test_non_finite_point_tagged_exit_2(self, capsys, spec_path):
+        code, out, _ = run(capsys, ["curve", spec_path, "--deltas", "0.3,nan,0.4"])
+        assert code == 2
+        records = parse_curve_csv(out)
+        assert [r["feasible"] for r in records] == [True, False, True]
+        assert records[1]["error"] == "non_finite"
+        assert records[1]["rate_nats"] is None
+        assert math.isnan(records[1]["delta"])
+
     def test_grid_argument_validation(self, capsys, spec_path):
         code, _, err = run(capsys, ["curve", spec_path])
         assert code == 1
@@ -137,6 +146,7 @@ class TestChannel:
         assert doc["rates"]["alt_nats"] == pytest.approx(0.5 * math.log(2), abs=1e-9)
         assert all(v < 1e-8 for v in doc["structural_residuals"].values())
         assert doc["decoder_only"]["h"][0][0] == pytest.approx(0.25, abs=1e-12)
+        assert doc["decoder_only"] == {k: doc["channel"][k] for k in ("h", "q_w", "g")}
 
     def test_upper_boundary_zero_rate(self, capsys, spec_path):
         code, out, _ = run(capsys, ["channel", spec_path, "--delta", "0.5"])
@@ -149,6 +159,13 @@ class TestChannel:
         code, _, err = run(capsys, ["channel", spec_path, "--delta", "0.25"])
         assert code == 1
         assert "infinite rate at lower boundary" in err
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+    def test_non_finite_delta_exit_1(self, capsys, spec_path, delta):
+        code, out, err = run(capsys, ["channel", spec_path, f"--delta={delta}"])
+        assert code == 1
+        assert out == ""
+        assert f"distortion must be finite, got {float(delta)!r}" in err
 
     def test_bits_flag(self, capsys, spec_path):
         code, out, _ = run(capsys, ["channel", spec_path, "--delta", "0.375", "--bits"])
@@ -202,6 +219,11 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", spec_path, "--delta", "0.2"])
         assert code == 1
 
+    def test_non_finite_delta_exit_1(self, capsys, spec_path):
+        code, _, err = run(capsys, ["verify", spec_path, "--delta", "nan"])
+        assert code == 1
+        assert "distortion must be finite" in err
+
     def test_too_few_samples_exit_1(self, capsys, spec_path):
         code, _, err = run(capsys, ["verify", spec_path, "--delta", "0.375", "--samples", "1"])
         assert code == 1
@@ -224,6 +246,11 @@ class TestOracle:
         assert doc["pass"] is True
         assert doc["gap_nats"] < doc["tolerance_nats"]
         assert doc["rate_waterfill_nats"] == pytest.approx(0.5 * math.log(2), abs=1e-9)
+
+    def test_non_finite_delta_exit_1(self, capsys, spec_path):
+        code, _, err = run(capsys, ["oracle", spec_path, "--delta", "nan"])
+        assert code == 1
+        assert "distortion must be finite" in err
 
     def test_unsupported_dimension_exit_1(self, capsys, tmp_path):
         rng = np.random.default_rng(2)
@@ -269,6 +296,21 @@ class TestRemark3:
         assert code == 0
         doc = json.loads(out)
         assert doc["rows"][0]["prior_noise_variance"] == pytest.approx(1.0)
+
+    def test_zero_points_exit_1(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["remark3", "--q", "1.0", "--delta-min", "0.5", "--delta-max", "0.9", "--points", "0"],
+        )
+        assert code == 1
+        assert out == ""
+        assert "--points" in err
+
+    def test_deltas_with_range_flag_exit_1(self, capsys):
+        code, out, err = run(capsys, ["remark3", "--q", "1.0", "--deltas", "0.5", "--points", "3"])
+        assert code == 1
+        assert out == ""
+        assert "either --deltas or" in err
 
     def test_out_of_range_exit_1(self, capsys):
         code, _, err = run(capsys, ["remark3", "--q", "1.0", "--deltas", "1.5"])

@@ -7,6 +7,7 @@ from remoterdf.core import conditional_stats, validate_spec
 from remoterdf.errors import BelowRangeError, HypothesisViolatedError
 from remoterdf.oracle import OracleResolution, brute_force_rdf
 from remoterdf.waterfill import (
+    _water_level,
     distortion_range,
     rdf_curve,
     solve_waterfill,
@@ -51,10 +52,12 @@ class TestSpectralSetup:
         for n, n_y in [(1, 1), (2, 2), (3, 1)]:
             setup = make_setup(make_spec(rng, n, n_y))
             assert np.all(np.diff(setup.d) >= 0)
-            recon = (setup.v * setup.d) @ setup.u.T
+            # Left singular vectors follow from the right ones: V = Q U D^{-1}.
+            v = setup.q_mat @ setup.u / setup.d
+            recon = (v * setup.d) @ setup.u.T
             assert np.linalg.norm(recon - setup.q_mat, "fro") < 1e-10
             assert np.linalg.norm(setup.u @ setup.u.T - np.eye(n), "fro") < 1e-10
-            assert np.linalg.norm(setup.v @ setup.v.T - np.eye(n), "fro") < 1e-10
+            assert np.linalg.norm(v @ v.T - np.eye(n), "fro") < 1e-10
 
     def test_dimension_hypothesis(self):
         rng = np.random.default_rng(8)
@@ -275,13 +278,98 @@ class TestRdfCurve:
             assert point.active_count == sol.active_count
 
 
-class TestWaterLevelFunction:
-    def test_total_water_monotone_in_level(self):
-        from remoterdf.waterfill import _total_water
+def ulps_from(x: float, count: int, toward: float) -> list[float]:
+    """The `count` floats next to x in the direction of `toward`."""
+    out = []
+    for _ in range(count):
+        x = float(np.nextafter(x, toward))
+        out.append(x)
+    return out
 
-        rng = np.random.default_rng(15)
-        for _ in range(10):
-            d_sq = np.sort(rng.uniform(0.1, 5.0, size=4))
-            levels = np.linspace(0.01, 50.0, 300)
-            water = [_total_water(xi, d_sq) for xi in levels]
-            assert all(w2 >= w1 for w1, w2 in zip(water, water[1:]))
+
+class TestExactWaterLevel:
+    def test_allocation_never_exceeds_target(self, make_spec):
+        # The invariant that keeps a grid-search oracle from beating the rate:
+        # the allocations sum to at most trace(Q_{X|Y}) - delta, exactly.
+        rng = np.random.default_rng(16)
+        for n, n_y in [(1, 1), (2, 1), (3, 2), (5, 2), (8, 3), (12, 4)]:
+            spec = make_spec(rng, n, n_y)
+            setup = make_setup(spec)
+            lo, hi = distortion_range(spec, setup)
+            trace_xy = float(np.trace(conditional_stats(spec).q_x_given_y))
+            grid = list(lo + rng.random(40) * (hi - lo))
+            grid += ulps_from(lo, 4, hi) + ulps_from(hi, 4, lo) + [hi]
+            for delta in grid:
+                sol = solve_waterfill(spec, setup, delta)
+                assert np.sum(sol.lam) <= trace_xy - delta
+
+    def test_finite_rate_within_ulps_of_both_boundaries(self, make_spec):
+        rng = np.random.default_rng(17)
+        for n, n_y in [(1, 1), (2, 2), (4, 1), (8, 2), (16, 4)]:
+            spec = make_spec(rng, n, n_y)
+            setup = make_setup(spec)
+            lo, hi = distortion_range(spec, setup)
+            near = ulps_from(lo, 6, hi) + ulps_from(hi, 6, lo) + [hi]
+            near += ulps_from(hi, 3, 2.0 * hi)
+            for delta in near:
+                sol = solve_waterfill(spec, setup, delta)
+                assert math.isfinite(sol.rate) and sol.rate >= 0.0
+                assert math.isfinite(sol.xi) and sol.xi > 0.0
+            # Just above delta_min the rate is large but finite.
+            assert solve_waterfill(spec, setup, near[0]).rate > 5.0
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-6])
+    def test_finite_rate_when_lower_boundary_is_tiny(self, eps):
+        # With X = S + noise of variance eps, delta_min is about eps; just
+        # above it trace(Q_{X|Y}) - delta rounds to the full capacity
+        # sum(1/d_i^2), and the level must still be finite.
+        q = np.array([[1.0 + eps, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+        spec = validate_spec(q, (1, 1, 1))
+        setup = make_setup(spec)
+        lo, hi = distortion_range(spec, setup)
+        trace_xy = float(np.trace(conditional_stats(spec).q_x_given_y))
+        for delta in ulps_from(max(lo, 0.0), 8, hi):
+            sol = solve_waterfill(spec, setup, delta)
+            assert math.isfinite(sol.rate) and sol.rate > 10.0
+            assert np.sum(sol.lam) <= trace_xy - delta
+
+    def test_level_satisfies_the_water_filling_conditions(self):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            d_sq = np.sort(rng.uniform(0.05, 20.0, size=int(rng.integers(1, 30))))
+            target = float(rng.uniform(0.0, 0.999) * np.sum(1.0 / d_sq))
+            xi, lam = _water_level(d_sq, target)
+            assert np.sum(lam) <= target
+            assert np.sum(lam) == pytest.approx(target, rel=1e-12, abs=1e-15)
+            on = lam > 0.0
+            # Active components are those below the level; each sits on it.
+            assert np.array_equal(on, d_sq < 2.0 * xi)
+            assert 1.0 / d_sq[on] - lam[on] == pytest.approx(1.0 / (2.0 * xi), rel=1e-12)
+
+    def test_repeated_singular_values(self):
+        d_sq = np.array([1.0, 1.0, 4.0, 4.0])
+        xi, lam = _water_level(d_sq, 0.0)
+        assert np.all(lam == 0.0)
+        xi, lam = _water_level(d_sq, 1.0)
+        assert lam == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-15)
+        assert xi == pytest.approx(1.0, rel=1e-15)
+
+
+class TestNonFiniteDistortion:
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_solve_refuses(self, scalar_spec, delta):
+        with pytest.raises(ValueError, match="distortion must be finite"):
+            solve_waterfill(scalar_spec, make_setup(scalar_spec), delta)
+
+    def test_curve_tags_point_and_continues(self, scalar_spec):
+        curve = rdf_curve(scalar_spec, [0.3, math.nan, 0.4, math.inf])
+        assert [p.error for p in curve.points] == ["", "non_finite", "", "non_finite"]
+        assert [p.feasible for p in curve.points] == [True, False, True, False]
+        assert curve.points[1].rate is None and curve.points[1].xi is None
+        assert curve.points[2].rate == solve_waterfill(
+            scalar_spec, make_setup(scalar_spec), 0.4
+        ).rate
+
+    def test_curve_order_check_skips_non_finite_points(self, scalar_spec):
+        with pytest.raises(ValueError, match="ascending"):
+            rdf_curve(scalar_spec, [0.4, math.nan, 0.3])
