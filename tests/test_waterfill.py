@@ -370,6 +370,6 @@ class TestNonFiniteDistortion:
             scalar_spec, make_setup(scalar_spec), 0.4
         ).rate
 
-    def test_curve_order_check_skips_non_finite_points(self, scalar_spec):
+    def test_curve_order_check_sees_past_non_finite_points(self, scalar_spec):
         with pytest.raises(ValueError, match="ascending"):
             rdf_curve(scalar_spec, [0.4, math.nan, 0.3])
