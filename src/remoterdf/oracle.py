@@ -8,7 +8,12 @@ from the correct one.
 
 The grid search deliberately shares nothing with the water-filling module: it
 re-derives the channel quantities inline from the conditional statistics and
-minimizes by enumeration.
+minimizes by enumeration.  Its result is a pure function of the candidate
+order: the first best candidate wins, in the order (angle, then the
+eigenvalue grid row-major, then the trace-boundary slice for that angle).
+The 2x2 search stages its feasibility tests and works through the grid in
+blocks of rows, so memory stays bounded at any resolution without changing
+which candidate wins.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from .errors import (
 DIVERGENCE_FACTOR = 1e3
 
 _FEAS_TOL = 1e-12
+
+# Candidates per block of the 2x2 search: bounds its memory whatever the grid.
+_BLOCK_CANDIDATES = 32768
 
 
 @dataclass(frozen=True)
@@ -146,9 +154,17 @@ def brute_force_rdf(
     2x2).  Constraint-boundary candidates with trace exactly equal to
     trace(Q_{X|Y}) - delta are appended to each grid, since the optimum sits
     on that boundary.  Feasibility enforces 0 <= M <= Q_{X|Y}, the trace
-    constraint, and a PSD reconstruction noise.  The minimum is reduced in
-    lexicographic grid order (angle, then eigenvalue axes), so ties are
-    deterministic.
+    constraint, a PSD reconstruction noise and a positive definite posterior.
+
+    Ties go to the first candidate in a fixed order: for 1x1, the grid
+    ascending, then the trace-boundary candidate; for 2x2, by angle, then
+    over the eigenvalue grid row-major (first eigenvalue outer), then over
+    that angle's trace-boundary slice in ascending order of the first
+    eigenvalue.  The 2x2 search tests the posterior first and the other two
+    conditions only on its survivors; this short-circuits the same
+    conjunction, so `feasible_points` and the winner are as if every test ran
+    on every candidate.  It visits the grid in blocks of about 32k
+    candidates, which bounds its memory whatever the resolution.
 
     Raises
     ------
@@ -230,65 +246,63 @@ def _brute_force_2x2(stats, target: float, res: OracleResolution) -> OracleResul
     )
     ftol = _FEAS_TOL * max(1.0, a_max)
 
-    eig_grid = np.linspace(0.0, a_max, res.eig_points)
-    # Full (a, b) grid plus the trace-boundary slice b = target - a.
-    aa_full = np.repeat(eig_grid, res.eig_points)
-    bb_full = np.tile(eig_grid, res.eig_points)
-    b_slice = target - eig_grid
-    on_slice = (b_slice >= 0.0) & (b_slice <= a_max)
-    aa = np.concatenate([aa_full, eig_grid[on_slice]])
-    bb = np.concatenate([bb_full, b_slice[on_slice]])
-
-    keep = aa + bb >= target - ftol
-    aa, bb = aa[keep], bb[keep]
-    if aa.size == 0:
-        raise ResolutionTooCoarseError(0)
-    aa_sq, bb_sq, ab = aa * aa, bb * bb, aa * bb
-
-    best_det = -np.inf
-    best_point = None
-    n_feasible = 0
     thetas = np.linspace(0.0, np.pi, res.angle_points, endpoint=False)
+    angles = []
     for theta in thetas:
         c, s = math.cos(theta), math.sin(theta)
         r1 = np.array([c, s])
         r2 = np.array([-s, c])
         u1 = w.T @ r1
         u2 = w.T @ r2
+        angles.append((c, s, float(u1[0]), float(u1[1]), float(u2[0]), float(u2[1]),
+                       float(r1 @ k @ r1), float(r1 @ k @ r2), float(r2 @ k @ r2)))
 
-        # M <= Q_{X|Y}
-        g00 = q_x[0, 0] - (aa * c * c + bb * s * s)
-        g01 = q_x[0, 1] - (aa - bb) * c * s
-        g11 = q_x[1, 1] - (aa * s * s + bb * c * c)
-        feasible = _psd_shifted_sym2(g00, g01, g11, ftol)
-
-        # Q_W >= 0, evaluated in the M eigenbasis (rotation drops out).
-        k11 = float(r1 @ k @ r1)
-        k12 = float(r1 @ k @ r2)
-        k22 = float(r2 @ k @ r2)
-        feasible &= _psd_shifted_sym2(
-            aa - aa_sq * k11, -ab * k12, bb - bb_sq * k22, ftol
-        )
-
-        p00 = q_s[0, 0] - aa * u1[0] * u1[0] - bb * u2[0] * u2[0]
-        p01 = q_s[0, 1] - aa * u1[0] * u1[1] - bb * u2[0] * u2[1]
-        p11 = q_s[1, 1] - aa * u1[1] * u1[1] - bb * u2[1] * u2[1]
-        det_post = p00 * p11 - p01 * p01
-        # Sylvester criterion: post is PD iff p00 > 0 and det > 0.
-        feasible &= (p00 > 0.0) & (det_post > 0.0)
-
-        n_feasible += int(np.count_nonzero(feasible))
-        # Minimizing the log-det-ratio objective is maximizing det(post).
-        masked = np.where(feasible, det_post, -np.inf)
-        idx = int(np.argmax(masked))
-        if masked[idx] > best_det:
-            best_det = float(masked[idx])
-            best_point = (float(theta), float(aa[idx]), float(bb[idx]))
+    # Per angle, the best det(post) so far and its (a, b); blocks arrive in
+    # candidate order and only a strictly larger value replaces the best.
+    best_det = np.full(len(angles), -np.inf)
+    best_ab = [(0.0, 0.0)] * len(angles)
+    n_feasible = 0
+    for aa, bb in _candidate_blocks(target, a_max, res.eig_points):
+        # aa and bb broadcast against each other; flattened, the block lists
+        # its candidates in order.  The arithmetic below is per candidate, so
+        # terms that depend on a alone or b alone are shared by a whole row or
+        # column of the grid without changing any result.
+        a_all, b_all = (x.ravel() for x in np.broadcast_arrays(aa, bb))
+        keep = a_all + b_all >= target - ftol
+        for i, (c, s, u10, u11, u20, u21, k11, k12, k22) in enumerate(angles):
+            # Sylvester criterion: post is PD iff p00 > 0 and det > 0.
+            p00 = q_s[0, 0] - aa * u10 * u10 - bb * u20 * u20
+            p01 = q_s[0, 1] - aa * u10 * u11 - bb * u20 * u21
+            p11 = q_s[1, 1] - aa * u11 * u11 - bb * u21 * u21
+            det_post = (p00 * p11 - p01 * p01).ravel()
+            idx = np.flatnonzero(keep & (p00.ravel() > 0.0) & (det_post > 0.0))
+            a, b = a_all[idx], b_all[idx]
+            # M <= Q_{X|Y}
+            g00 = q_x[0, 0] - (a * c * c + b * s * s)
+            g01 = q_x[0, 1] - (a - b) * c * s
+            g11 = q_x[1, 1] - (a * s * s + b * c * c)
+            feasible = _psd_shifted_sym2(g00, g01, g11, ftol)
+            # Q_W >= 0, evaluated in the M eigenbasis (rotation drops out).
+            feasible &= _psd_shifted_sym2(
+                a - a * a * k11, -(a * b) * k12, b - b * b * k22, ftol
+            )
+            idx = idx[feasible]
+            if idx.size == 0:
+                continue
+            n_feasible += idx.size
+            # Minimizing the log-det-ratio objective is maximizing det(post).
+            dets = det_post[idx]
+            j = int(np.argmax(dets))
+            if dets[j] > best_det[i]:
+                best_det[i] = dets[j]
+                best_ab[i] = (float(a_all[idx[j]]), float(b_all[idx[j]]))
 
     if n_feasible < 10:
         raise ResolutionTooCoarseError(n_feasible)
-    best_rate = 0.5 * (logdet_prior - math.log(best_det))
-    theta, a_best, b_best = best_point
+    i = int(np.argmax(best_det))
+    best_rate = 0.5 * (logdet_prior - math.log(best_det[i]))
+    theta = float(thetas[i])
+    a_best, b_best = best_ab[i]
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])
     m_best = rot @ np.diag([a_best, b_best]) @ rot.T
@@ -300,6 +314,22 @@ def _brute_force_2x2(stats, target: float, res: OracleResolution) -> OracleResul
         feasible_points=n_feasible,
         resolution=res,
     )
+
+
+def _candidate_blocks(target: float, a_max: float, n: int):
+    """Yield the (a, b) candidates as pairs of arrays that broadcast together.
+
+    The n x n grid on [0, a_max]^2 comes first, row-major (a outer), in blocks
+    of whole rows of about _BLOCK_CANDIDATES (a as a column, b as a row); the
+    trace-boundary slice b = target - a (where 0 <= b <= a_max) comes last.
+    """
+    eig_grid = np.linspace(0.0, a_max, n)
+    rows = max(1, _BLOCK_CANDIDATES // n)
+    for start in range(0, n, rows):
+        yield eig_grid[start : start + rows, None], eig_grid
+    b_slice = target - eig_grid
+    on_slice = (b_slice >= 0.0) & (b_slice <= a_max)
+    yield eig_grid[on_slice], b_slice[on_slice]
 
 
 def _psd_shifted_sym2(m00, m01, m11, shift):

@@ -139,28 +139,37 @@ def _range_from_trace(trace_xy: float, setup: SpectralSetup) -> float:
     return trace_xy - float(np.sum(1.0 / d_act**2))
 
 
-def _water_level(d_sq: np.ndarray, target: float) -> tuple[float, np.ndarray]:
-    """Level xi and allocations for a total allocation of `target` >= 0.
+def _water_level(
+    d_sq: np.ndarray, trace_xy: float, delta: float
+) -> tuple[float, np.ndarray]:
+    """Level xi and allocations for a total allocation of trace_xy - delta >= 0.
 
     `d_sq` is ascending, so c = 1/d_sq is descending.  With C_k the sum of
     the first k entries of c, the total allocation when 1/(2 xi) reaches c_k
     is the breakpoint total C_k - k c_k; the active count k is the number of
     breakpoint totals below the target, and then 1/(2 xi) = (C_k - target)/k.
+    The rounding error of the target is recovered exactly (Fast2Sum, as
+    delta <= trace_xy) and taken off C_k - target, so a delta far below
+    trace_xy keeps its digits.
 
-    Invariant: the returned allocations never sum to more than `target`, so
-    the rate is never below the true optimum and a grid-search oracle can
+    Invariant: the returned allocations never sum to more than the target,
+    so the rate is never above the true optimum and a grid-search oracle can
     never beat it.  Rounding can overshoot by a few ulps; xi is then stepped
     down, one ulp first and doubling the step each time (but never by more
     than half), until the sum fits.  The loop ends at the latest once xi is
-    below d_sq[0] / 2, where every allocation is zero.  The excess
-    C_k - target is taken as at least one ulp of the target, which keeps xi
-    finite when the target equals the full capacity C_n to rounding.
+    below d_sq[0] / 2, where every allocation is zero.  The excess is floored
+    at k * tiny / min(1, d_sq[0]), tiny the smallest normal float, which keeps
+    xi and 2 xi / d_sq finite when delta is subnormal or within rounding of
+    trace_xy - C_k.
     """
+    target = trace_xy - delta
+    target_error = (trace_xy - target) - delta
     inv = 1.0 / d_sq
     cum = np.cumsum(inv)
     breakpoints = cum[1:] - np.arange(2, inv.size + 1) * inv[1:]
     k = int(np.searchsorted(breakpoints, target)) + 1
-    excess = max(float(cum[k - 1]) - target, float(np.spacing(target)))
+    floor = k * np.finfo(float).tiny / min(1.0, float(d_sq[0]))
+    excess = max((float(cum[k - 1]) - target) - target_error, floor)
     xi = k / (2.0 * excess)
     ulps = 1.0
     while True:
@@ -200,13 +209,12 @@ def solve_waterfill(
         above_range = True
         water_error = 0.0
     else:
-        target = trace_xy - delta
-        xi, lam_act = _water_level(d_sq, target)
+        xi, lam_act = _water_level(d_sq, trace_xy, delta)
         lam[setup.active] = lam_act
         on = lam_act > 0.0
         rate = 0.5 * float(np.sum(np.log(2.0 * xi / d_sq[on])))
         above_range = False
-        water_error = abs(float(np.sum(lam_act)) - target)
+        water_error = abs(float(np.sum(lam_act)) - (trace_xy - delta))
 
     q_xhat = symmetrize((setup.u * lam) @ setup.u.T)
     sigma_delta = symmetrize(q_x_given_y - q_xhat)

@@ -23,14 +23,20 @@ import pytest
 
 from remoterdf.cli import main
 from remoterdf.core import conditional_stats, validate_spec
+from remoterdf.oracle import OracleResolution, brute_force_rdf
 from remoterdf.waterfill import distortion_range, solve_waterfill, spectral_setup
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 RATES = Path(__file__).parent / "golden" / "rates.json"
+ORACLE = Path(__file__).parent / "golden" / "oracle.json"
 RATE_DIMS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (6, 2),
              (8, 2), (8, 3)]
 RATE_FRACTIONS = [0.001, 0.05, 0.3, 0.6, 0.9, 0.999]
 FLOAT_TOL = 1e-12
+# Oracle instances (grid, distortion fractions): eight on a coarse grid across
+# the whole range, from below the default-resolution tolerance to above
+# delta_plus, and two at the default resolution.
+ORACLE_CASES = [((101, 45), [0.1, 0.3, 0.55, 0.85, 1.3])] * 8 + [((400, 180), [0.7])] * 2
 
 SPECS = {
     # The README example: Q_{X|Y} = 0.5, Q_{S|Y} = 1, Q_{X,S|Y} = 0.5.
@@ -75,6 +81,8 @@ CASES = {
                         "--seed", "0", "--format", "csv"],
     "oracle-scalar-json": ["oracle", "{scalar}", "--delta", "0.375"],
     "oracle-scalar-csv": ["oracle", "{scalar}", "--delta", "0.3", "--format", "csv"],
+    "oracle-pair-json": ["oracle", "{pair}", "--delta", "0.8", "--resolution", "101",
+                         "--angle-points", "45"],
     "remark3-csv": ["remark3", "--q", "1.0", "--deltas", "0.5,0.9,0.99,1.0"],
     "remark3-json": ["remark3", "--q", "2.0", "--delta-min", "0.2", "--delta-max", "2.0",
                      "--points", "10", "--format", "json"],
@@ -199,6 +207,43 @@ def record_rates() -> list[dict]:
     return instances
 
 
+def oracle_outputs(q, dims, delta, grid) -> dict:
+    spec = validate_spec(np.array(q), tuple(dims))
+    res = brute_force_rdf(spec, delta, OracleResolution(*grid))
+    return {"rate": res.rate, "theta": res.params["theta"], "eig_a": res.params["eig_a"],
+            "eig_b": res.params["eig_b"], "feasible_points": res.feasible_points,
+            "sigma_delta": res.sigma_delta.tolist()}
+
+
+ORACLE_DOC = json.loads(ORACLE.read_text(encoding="utf-8")) if ORACLE.exists() else []
+
+
+def test_oracle_golden_covers_every_instance():
+    assert [tuple(rec["grid"]) for rec in ORACLE_DOC] == [grid for grid, _ in ORACLE_CASES]
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_CASES)))
+def test_oracle_matches_golden_bitwise(index):
+    rec = ORACLE_DOC[index]
+    for delta, expected in zip(rec["deltas"], rec["results"], strict=True):
+        assert oracle_outputs(rec["covariance"], rec["dims"], delta, rec["grid"]) == expected
+
+
+def record_oracle() -> list[dict]:
+    from conftest import random_feasible_spec
+
+    rng = np.random.default_rng(2110)
+    instances = []
+    for grid, fractions in ORACLE_CASES:
+        spec = random_feasible_spec(rng, 2, 1, min_margin=5e-3)
+        lo, hi = distortion_range(spec, spectral_setup(spec, conditional_stats(spec)))
+        deltas = [lo + f * (hi - lo) for f in fractions]
+        q, dims = spec.q.tolist(), [spec.n_x, spec.n_s, spec.n_y]
+        instances.append({"grid": list(grid), "dims": dims, "covariance": q, "deltas": deltas,
+                          "results": [oracle_outputs(q, dims, d, grid) for d in deltas]})
+    return instances
+
+
 def test_comparison_rejects_changed_fields():
     assert csv_mismatches("a,1,0.5\n", "a,1,0.5000000000000001\n") == []
     assert csv_mismatches("a,1,0.5\n", "a,2,0.5\n")
@@ -220,4 +265,5 @@ if __name__ == "__main__":
             doc[case] = {"argv": argv, "code": code, "stdout": out}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     RATES.write_text(json.dumps(record_rates()) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN} and {RATES}", file=sys.stderr)
+    ORACLE.write_text(json.dumps(record_oracle()) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}, {RATES} and {ORACLE}", file=sys.stderr)

@@ -1,9 +1,13 @@
+import ast
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from remoterdf.core import validate_spec
+import remoterdf.oracle
+from remoterdf.core import conditional_stats, validate_spec
 from remoterdf.errors import DimensionUnsupportedError, ResolutionTooCoarseError
 from remoterdf.oracle import (
     OracleResolution,
@@ -12,6 +16,7 @@ from remoterdf.oracle import (
     remark3_discrepancy,
     wyner_scalar_rdf,
 )
+from remoterdf.waterfill import distortion_range, spectral_setup
 
 from conftest import random_feasible_spec
 
@@ -113,13 +118,8 @@ class TestBruteForce:
         assert res.rate == 0.0
 
     def test_two_dim_isotropic_matches_classical_vector_rate(self):
-        # X = S two-dimensional with unit covariance and trivial side info:
-        # the vector classical RDF gives rate ln(2/delta) at distortion delta.
-        q = np.zeros((5, 5))
-        q[:2, :2] = q[:2, 2:4] = q[2:4, :2] = q[2:4, 2:4] = np.eye(2)
-        q[4, 4] = 1.0
-        spec = validate_spec(q, (2, 2, 1))
-        res = brute_force_rdf(spec, 0.5)
+        # The vector classical RDF gives rate ln(2/delta) at distortion delta.
+        res = brute_force_rdf(isotropic_spec(), 0.5)
         assert res.rate == pytest.approx(math.log(4.0), abs=1e-4)
 
     def test_dimension_guard(self):
@@ -137,3 +137,67 @@ class TestBruteForce:
         r2 = brute_force_rdf(scalar_spec, 0.31)
         assert r1.rate == r2.rate
         assert np.array_equal(r1.sigma_delta, r2.sigma_delta)
+
+    def test_first_of_tied_candidates_wins(self, monkeypatch):
+        # Isotropic case at angle 0: det(post) = (1 - a)(1 - b) exactly, so
+        # the grid points (1/2, 17/32) and (17/32, 1/2) tie on the trace
+        # boundary a + b = 33/32 (the target sits 2^-44 above it, within the
+        # feasibility tolerance, so the off-grid slice candidates are worse).
+        # The first in row-major order must win, also when every grid row is
+        # a block of its own; above delta_plus every angle ties at M = 0.
+        spec = isotropic_spec()
+        for block in (remoterdf.oracle._BLOCK_CANDIDATES, 7):
+            monkeypatch.setattr(remoterdf.oracle, "_BLOCK_CANDIDATES", block)
+            res = brute_force_rdf(spec, 0.96875 - 2.0**-44, OracleResolution(33, 1))
+            assert res.params == {"theta": 0.0, "eig_a": 0.5, "eig_b": 0.53125}
+            res = brute_force_rdf(spec, 2.5, OracleResolution(33, 9))
+            assert res.params == {"theta": 0.0, "eig_a": 0.0, "eig_b": 0.0}
+
+    def test_block_size_does_not_change_the_result(self, monkeypatch):
+        spec = random_feasible_spec(np.random.default_rng(6), 2, 1, min_margin=5e-3)
+        whole = brute_force_rdf(spec, mid_range(spec), OracleResolution(41, 9))
+        monkeypatch.setattr(remoterdf.oracle, "_BLOCK_CANDIDATES", 7)
+        split = brute_force_rdf(spec, mid_range(spec), OracleResolution(41, 9))
+        assert split.rate == whole.rate
+        assert split.params == whole.params
+        assert split.feasible_points == whole.feasible_points
+        assert np.array_equal(split.sigma_delta, whole.sigma_delta)
+
+    def test_memory_is_bounded_at_fine_grids(self):
+        # 2000 x 2000 candidates per angle would take hundreds of MB at once;
+        # the search works in blocks of rows instead.
+        spec = random_feasible_spec(np.random.default_rng(3), 2, 1, min_margin=5e-3)
+        tracemalloc.start()
+        try:
+            brute_force_rdf(spec, mid_range(spec), OracleResolution(2000, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+
+def isotropic_spec():
+    """X = S two-dimensional with unit covariance and trivial side info."""
+    q = np.zeros((5, 5))
+    q[:2, :2] = q[:2, 2:4] = q[2:4, :2] = q[2:4, 2:4] = np.eye(2)
+    q[4, 4] = 1.0
+    return validate_spec(q, (2, 2, 1))
+
+
+def mid_range(spec) -> float:
+    lo, hi = distortion_range(spec, spectral_setup(spec, conditional_stats(spec)))
+    return 0.5 * (lo + hi)
+
+
+def test_oracle_shares_no_code_with_the_solver():
+    # The oracle is the independent check on water-filling and on the
+    # channel synthesis, so it may not import either.
+    tree = ast.parse(Path(remoterdf.oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if "waterfill" in name or "channel" in name}

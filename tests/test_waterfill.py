@@ -333,12 +333,30 @@ class TestExactWaterLevel:
             assert math.isfinite(sol.rate) and sol.rate > 10.0
             assert np.sum(sol.lam) <= trace_xy - delta
 
+    @pytest.mark.parametrize("delta", [1e-6, 1e-12, 1e-20, 1e-300])
+    def test_rate_keeps_the_digits_of_a_tiny_distortion(self, delta):
+        # X = S with Q_{X|Y} = 1: delta_min = 0 and R = 0.5 ln(1/delta), while
+        # trace(Q_{X|Y}) - delta rounds to 1 for the three smallest deltas.
+        spec = wyner_spec(1.0)
+        sol = solve_waterfill(spec, make_setup(spec), delta)
+        assert sol.rate == pytest.approx(-0.5 * math.log(delta), rel=1e-12, abs=0.0)
+        assert np.sum(sol.lam) <= 1.0 - delta
+
+    @pytest.mark.parametrize("delta", [5e-324, 1e-310])
+    def test_finite_rate_at_subnormal_distortion(self, delta):
+        # d^2 = 0.1 here, so a level of 1/(2 * smallest normal) would put
+        # 2 xi / d^2 past the largest float.
+        spec = wyner_spec(10.0)
+        sol = solve_waterfill(spec, make_setup(spec), delta)
+        assert math.isfinite(sol.rate) and sol.rate > 350.0
+        assert np.sum(sol.lam) <= 10.0 - delta
+
     def test_level_satisfies_the_water_filling_conditions(self):
         rng = np.random.default_rng(18)
         for _ in range(200):
             d_sq = np.sort(rng.uniform(0.05, 20.0, size=int(rng.integers(1, 30))))
             target = float(rng.uniform(0.0, 0.999) * np.sum(1.0 / d_sq))
-            xi, lam = _water_level(d_sq, target)
+            xi, lam = _water_level(d_sq, target, 0.0)
             assert np.sum(lam) <= target
             assert np.sum(lam) == pytest.approx(target, rel=1e-12, abs=1e-15)
             on = lam > 0.0
@@ -348,9 +366,9 @@ class TestExactWaterLevel:
 
     def test_repeated_singular_values(self):
         d_sq = np.array([1.0, 1.0, 4.0, 4.0])
-        xi, lam = _water_level(d_sq, 0.0)
+        xi, lam = _water_level(d_sq, 0.0, 0.0)
         assert np.all(lam == 0.0)
-        xi, lam = _water_level(d_sq, 1.0)
+        xi, lam = _water_level(d_sq, 1.0, 0.0)
         assert lam == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-15)
         assert xi == pytest.approx(1.0, rel=1e-15)
 
