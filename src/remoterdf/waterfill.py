@@ -17,6 +17,15 @@ excess of their 1/d_i^2 over the target.
 Distortions at or below delta_min = trace(Q_{X|Y}) - sum(1/d_i^2) carry
 infinite rate and are rejected; distortions above delta_plus = trace(Q_{X|Y})
 need no coding and return a flagged zero-rate solution.
+
+One solver, `_water_levels`, finds the level for a whole array of
+distortions at once.  `rdf_curve` hands it the grid in blocks of about
+CURVE_BLOCK allocation entries, and `solve_waterfill` hands it a one-point
+grid and then builds the covariances, so a curve point and a single solve at
+the same distortion agree bit for bit.  At every point the allocations sum
+to at most trace(Q_{X|Y}) - delta, and the rate is a sum of per-component
+logarithms, which loses fewer digits near delta_plus (see `_water_levels`).
+The blocks bound a curve's working memory whatever the grid length.
 """
 
 from __future__ import annotations
@@ -37,6 +46,11 @@ from .core import (
 )
 from .errors import BelowRangeError, HypothesisViolatedError
 
+# Allocation entries (points x active components) rdf_curve solves at once.
+# The solver's working arrays are a few times this size, so a curve's memory
+# beyond its output stays under a few MB for any grid length.
+CURVE_BLOCK = 32768
+
 
 @dataclass(frozen=True)
 class SpectralSetup:
@@ -44,7 +58,8 @@ class SpectralSetup:
 
     Columns of `u` are permuted with `d` and sign-fixed so the
     largest-magnitude entry of each is positive; `active` indexes the
-    nonzero singular values.  `q_x_given_y` is carried so that solving at
+    nonzero singular values and `d_sq` holds their squares.  `q_x_given_y`,
+    its trace (delta_plus) and `delta_min` are carried so that solving at
     any distortion needs no further conditional statistics.
     """
 
@@ -53,6 +68,9 @@ class SpectralSetup:
     d: np.ndarray
     active: np.ndarray
     q_x_given_y: np.ndarray
+    d_sq: np.ndarray
+    trace_xy: float
+    delta_min: float
 
 
 @dataclass(frozen=True)
@@ -123,61 +141,86 @@ def spectral_setup(spec: GaussianSourceSpec, stats: ConditionalStats) -> Spectra
         if u[lead, i] < 0.0:
             u[:, i] = -u[:, i]
     active = np.flatnonzero(d > RANK_TOL * (d[-1] if d.size else 0.0))
+    d_sq = d[active] ** 2
+    trace_xy = float(np.trace(stats.q_x_given_y))
     return SpectralSetup(
-        q_mat=q_mat, u=u, d=d, active=active, q_x_given_y=stats.q_x_given_y
+        q_mat=q_mat,
+        u=u,
+        d=d,
+        active=active,
+        q_x_given_y=stats.q_x_given_y,
+        d_sq=d_sq,
+        trace_xy=trace_xy,
+        delta_min=trace_xy - float(np.sum(1.0 / d_sq)),
     )
 
 
 def distortion_range(spec: GaussianSourceSpec, setup: SpectralSetup) -> tuple[float, float]:
     """Boundaries (delta_min, delta_plus) of the finite-rate distortion regime."""
-    trace_xy = float(np.trace(setup.q_x_given_y))
-    return _range_from_trace(trace_xy, setup), trace_xy
+    return setup.delta_min, setup.trace_xy
 
 
-def _range_from_trace(trace_xy: float, setup: SpectralSetup) -> float:
-    d_act = setup.d[setup.active]
-    return trace_xy - float(np.sum(1.0 / d_act**2))
+def _water_levels(
+    d_sq: np.ndarray, trace_xy: float, deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Levels, allocations, rates and active counts for distortions above delta_min.
 
+    `d_sq` is ascending, so c = 1/d_sq is descending.  Returns the level xi,
+    the allocations (one row per distortion, paired with `d_sq`), the rate
+    in nats and the number of active components, one entry per distortion.
+    Each point is solved on its own, with the same arithmetic whatever the
+    other points, so a point's results do not depend on the grid around it.
 
-def _water_level(
-    d_sq: np.ndarray, trace_xy: float, delta: float
-) -> tuple[float, np.ndarray]:
-    """Level xi and allocations for a total allocation of trace_xy - delta >= 0.
+    With C_k the sum of the first k entries of c, the total allocation when
+    1/(2 xi) reaches c_k is the breakpoint total C_k - k c_k; the active
+    count k is the number of breakpoint totals below the target
+    trace_xy - delta, and then 1/(2 xi) = (C_k - target)/k.  The rounding
+    error of the target is recovered exactly (Fast2Sum, as delta <=
+    trace_xy) and taken off C_k - target, so a delta far below trace_xy
+    keeps its digits.  A delta above trace_xy needs no allocation: its level
+    is d_sq[0] / 2 and its allocations are zero.
 
-    `d_sq` is ascending, so c = 1/d_sq is descending.  With C_k the sum of
-    the first k entries of c, the total allocation when 1/(2 xi) reaches c_k
-    is the breakpoint total C_k - k c_k; the active count k is the number of
-    breakpoint totals below the target, and then 1/(2 xi) = (C_k - target)/k.
-    The rounding error of the target is recovered exactly (Fast2Sum, as
-    delta <= trace_xy) and taken off C_k - target, so a delta far below
-    trace_xy keeps its digits.
+    Invariant: each row of allocations sums to at most its target, so the
+    rate is never above the true optimum and a grid-search oracle can never
+    beat it.  Rounding can overshoot by a few ulps (about one in five
+    points of a typical curve does); each such xi is then stepped down, one
+    ulp first and doubling the step each time (but never by more than
+    half), and leaves the loop as soon as its row fits.  A point leaves at
+    the latest once xi is below d_sq[0] / 2, where every allocation is zero.
+    The excess is floored at k * tiny / min(1, d_sq[0]), tiny the smallest
+    normal float, which keeps xi and 2 xi / d_sq finite when delta is
+    subnormal or within rounding of trace_xy - C_k.
 
-    Invariant: the returned allocations never sum to more than the target,
-    so the rate is never above the true optimum and a grid-search oracle can
-    never beat it.  Rounding can overshoot by a few ulps; xi is then stepped
-    down, one ulp first and doubling the step each time (but never by more
-    than half), until the sum fits.  The loop ends at the latest once xi is
-    below d_sq[0] / 2, where every allocation is zero.  The excess is floored
-    at k * tiny / min(1, d_sq[0]), tiny the smallest normal float, which keeps
-    xi and 2 xi / d_sq finite when delta is subnormal or within rounding of
-    trace_xy - C_k.
+    The rate is 0.5 * sum(log(2 xi / d_i^2)) over the active components,
+    summed per component with the inactive ones masked to log 1 = 0.  Near
+    delta_plus each ratio is close to 1 and its log is small and rounded
+    once; the shorter k log(2 xi) - sum(log d_i^2) subtracts two terms far
+    larger than the rate and loses several times more of its digits there.
     """
-    target = trace_xy - delta
-    target_error = (trace_xy - target) - delta
+    above = deltas > trace_xy
+    deltas = np.minimum(deltas, trace_xy)
+    target = trace_xy - deltas
+    target_error = (trace_xy - target) - deltas
     inv = 1.0 / d_sq
     cum = np.cumsum(inv)
     breakpoints = cum[1:] - np.arange(2, inv.size + 1) * inv[1:]
-    k = int(np.searchsorted(breakpoints, target)) + 1
+    k = np.searchsorted(breakpoints, target) + 1
     floor = k * np.finfo(float).tiny / min(1.0, float(d_sq[0]))
-    excess = max((float(cum[k - 1]) - target) - target_error, floor)
-    xi = k / (2.0 * excess)
+    excess = np.maximum((cum[k - 1] - target) - target_error, floor)
+    xi = np.where(above, 0.5 * d_sq[0], k / (2.0 * excess))
+    lam = np.maximum(0.0, inv - 1.0 / (2.0 * xi[:, None]))
+    over = np.flatnonzero(lam.sum(axis=1) > target)
     ulps = 1.0
-    while True:
-        lam = np.maximum(0.0, inv - 1.0 / (2.0 * xi))
-        if np.sum(lam) <= target:
-            return xi, lam
-        xi = max(xi - ulps * (xi - float(np.nextafter(xi, 0.0))), 0.5 * xi)
+    while over.size:
+        x = xi[over]
+        x = np.maximum(x - ulps * (x - np.nextafter(x, 0.0)), 0.5 * x)
+        xi[over] = x
+        lam[over] = np.maximum(0.0, inv - 1.0 / (2.0 * x[:, None]))
+        over = over[lam[over].sum(axis=1) > target[over]]
         ulps *= 2.0
+    on = lam > 0.0
+    rate = 0.5 * np.log(np.where(on, 2.0 * xi[:, None] / d_sq, 1.0)).sum(axis=1)
+    return xi, lam, rate, on.sum(axis=1)
 
 
 def solve_waterfill(
@@ -188,40 +231,29 @@ def solve_waterfill(
     Raises ValueError for a NaN or infinite delta and BelowRangeError for
     delta <= delta_min (infinite rate).  For delta > delta_plus no rate is
     needed: the solution is returned with all allocations zero and
-    `above_range` set instead of raising.
+    `above_range` set instead of raising.  The level comes from the grid
+    solver on a one-point grid; only the covariances are built here.
     """
     delta = float(delta)
     if not math.isfinite(delta):
         raise ValueError(f"distortion must be finite, got {delta!r}")
-    q_x_given_y = setup.q_x_given_y
-    trace_xy = float(np.trace(q_x_given_y))
-    delta_min = _range_from_trace(trace_xy, setup)
-    if delta <= delta_min:
-        raise BelowRangeError(delta, delta_min)
+    if delta <= setup.delta_min:
+        raise BelowRangeError(delta, setup.delta_min)
 
-    d_act = setup.d[setup.active]
-    d_sq = d_act**2
+    xi, lam_act, rate, _ = _water_levels(setup.d_sq, setup.trace_xy, np.array([delta]))
     lam = np.zeros_like(setup.d)
-
-    if delta > trace_xy:
-        xi = 0.5 * float(d_sq[0])
-        rate = 0.0
-        above_range = True
-        water_error = 0.0
-    else:
-        xi, lam_act = _water_level(d_sq, trace_xy, delta)
-        lam[setup.active] = lam_act
-        on = lam_act > 0.0
-        rate = 0.5 * float(np.sum(np.log(2.0 * xi / d_sq[on])))
-        above_range = False
-        water_error = abs(float(np.sum(lam_act)) - (trace_xy - delta))
+    lam[setup.active] = lam_act[0]
+    above_range = delta > setup.trace_xy
+    water_error = 0.0
+    if not above_range:
+        water_error = abs(float(np.sum(lam_act[0])) - (setup.trace_xy - delta))
 
     q_xhat = symmetrize((setup.u * lam) @ setup.u.T)
-    sigma_delta = symmetrize(q_x_given_y - q_xhat)
+    sigma_delta = symmetrize(setup.q_x_given_y - q_xhat)
     return WaterfillSolution(
         delta=delta,
-        rate=rate,
-        xi=xi,
+        rate=float(rate[0]),
+        xi=float(xi[0]),
         lam=lam,
         sigma_delta=sigma_delta,
         q_xhat_given_y=q_xhat,
@@ -230,45 +262,43 @@ def solve_waterfill(
     )
 
 
-def _failed_point(delta: float, error: str) -> CurvePoint:
-    return CurvePoint(
-        delta=delta, rate=None, xi=None, active_count=None, feasible=False, error=error
-    )
-
-
 def rdf_curve(spec: GaussianSourceSpec, deltas) -> RdfCurve:
     """Sweep the rate-distortion curve over an ascending distortion grid.
 
     Points at or below delta_min are annotated (feasible=False,
     error="below_range"), as are NaN or infinite points (error="non_finite"),
-    and the sweep continues; the finite points must be ascending.  Each point
-    is solved independently, so results do not depend on evaluation order.
+    and the sweep continues; the finite points must be ascending.  The
+    feasible points go to the grid solver in blocks of about CURVE_BLOCK
+    allocation entries, which bounds the working memory for any grid length.
+    No covariance is built.  Each point is solved independently, so results
+    do not depend on evaluation order and equal `solve_waterfill` bit for bit.
     """
-    grid = [float(d) for d in deltas]
-    if not grid:
+    grid = np.array([float(d) for d in deltas], dtype=float)
+    if not grid.size:
         raise ValueError("distortion grid is empty")
-    finite = [d for d in grid if math.isfinite(d)]
-    if any(b < a for a, b in zip(finite, finite[1:])):
+    finite = np.isfinite(grid)
+    ordered = grid[finite]
+    if np.any(ordered[1:] < ordered[:-1]):
         raise ValueError("distortion grid must be sorted ascending")
     setup = spectral_setup(spec, conditional_stats(spec))
+    feasible = finite & (grid > setup.delta_min)
+    xi = np.zeros(grid.size)
+    rate = np.zeros(grid.size)
+    count = np.zeros(grid.size, dtype=int)
+    solved = np.flatnonzero(feasible)
+    step = max(1, CURVE_BLOCK // setup.d_sq.size)
+    for start in range(0, solved.size, step):
+        block = solved[start : start + step]
+        xi[block], _, rate[block], count[block] = _water_levels(
+            setup.d_sq, setup.trace_xy, grid[block]
+        )
     points = []
-    for delta in grid:
-        if not math.isfinite(delta):
-            points.append(_failed_point(delta, "non_finite"))
-            continue
-        try:
-            sol = solve_waterfill(spec, setup, delta)
-        except BelowRangeError:
-            points.append(_failed_point(delta, "below_range"))
+    columns = (grid, feasible, finite, rate, xi, count)
+    for delta, ok, is_finite, r, x, c in zip(*(col.tolist() for col in columns)):
+        if ok:
+            point = CurvePoint(delta, r, x, c, feasible=True, error="")
         else:
-            points.append(
-                CurvePoint(
-                    delta=delta,
-                    rate=sol.rate,
-                    xi=sol.xi,
-                    active_count=sol.active_count,
-                    feasible=True,
-                    error="",
-                )
-            )
+            error = "below_range" if is_finite else "non_finite"
+            point = CurvePoint(delta, None, None, None, feasible=False, error=error)
+        points.append(point)
     return RdfCurve(points=points)

@@ -61,6 +61,37 @@ def random_feasible_spec(
     raise RuntimeError(f"no feasible random spec after {max_tries} tries (n={n}, n_y={n_y})")
 
 
+def ulps_from(x: float, count: int, toward: float) -> list[float]:
+    """The `count` floats next to x in the direction of `toward`."""
+    out = []
+    for _ in range(count):
+        x = float(np.nextafter(x, toward))
+        out.append(x)
+    return out
+
+
+def generated_spec(rng: np.random.Generator, n: int, n_y: int) -> GaussianSourceSpec:
+    """Spec of X ~ N(0, P), S = A X + N_s, Y = B X + N_y with independent noises.
+
+    It meets the water-filling hypotheses by construction, with spectra drawn
+    from fixed ranges, so it stays well conditioned at sizes where rejection
+    sampling (`random_feasible_spec`) no longer finds a feasible draw.
+    """
+
+    def rotation(k: int) -> np.ndarray:
+        q, r = np.linalg.qr(rng.standard_normal((k, k)))
+        return q * np.sign(np.diag(r))
+
+    u = rotation(n)
+    p = (u * rng.uniform(0.3, 1.5, n)) @ u.T
+    a = (rotation(n) * rng.uniform(0.5, 1.5, n)) @ rotation(n).T
+    b = rng.standard_normal((n_y, n)) / np.sqrt(n)
+    mix = np.vstack([np.eye(n), a, b])
+    noise = np.concatenate([np.zeros(n), rng.uniform(0.1, 1.0, n), rng.uniform(0.2, 1.0, n_y)])
+    q = mix @ p @ mix.T + np.diag(noise)
+    return validate_spec(0.5 * (q + q.T), (n, n, n_y))
+
+
 @pytest.fixture
 def make_spec():
     return random_feasible_spec

@@ -5,7 +5,10 @@ inputs.  Non-float fields must match exactly; floats may differ by 1e-12
 relative or 1e-12 absolute, which admits last-bit changes from refactoring
 but nothing a reader of the output could notice.  `golden/rates.json` holds
 water-filling rates on random instances (covariances stored in full), which
-must agree to 1e-12 relative.  Regenerate both files (after checking every
+must agree to 1e-12 relative.  `golden/levels.json` holds the water level xi
+and the active count of each `rdf_curve` point on those instances, at
+distortions within 4 ulps of delta_min, delta_plus and every breakpoint
+total, compared bit for bit.  Regenerate the files (after checking every
 difference) with
 
     PYTHONPATH=src:tests python tests/test_golden.py
@@ -24,11 +27,12 @@ import pytest
 from remoterdf.cli import main
 from remoterdf.core import conditional_stats, validate_spec
 from remoterdf.oracle import OracleResolution, brute_force_rdf
-from remoterdf.waterfill import distortion_range, solve_waterfill, spectral_setup
+from remoterdf.waterfill import distortion_range, rdf_curve, solve_waterfill, spectral_setup
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 RATES = Path(__file__).parent / "golden" / "rates.json"
 ORACLE = Path(__file__).parent / "golden" / "oracle.json"
+LEVELS = Path(__file__).parent / "golden" / "levels.json"
 RATE_DIMS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (6, 2),
              (8, 2), (8, 3)]
 RATE_FRACTIONS = [0.001, 0.05, 0.3, 0.6, 0.9, 0.999]
@@ -207,6 +211,43 @@ def record_rates() -> list[dict]:
     return instances
 
 
+def curve_levels(q, dims, deltas) -> dict:
+    spec = validate_spec(np.array(q), tuple(dims))
+    points = rdf_curve(spec, deltas).points
+    return {"xi": [p.xi for p in points], "active_count": [p.active_count for p in points]}
+
+
+LEVELS_DOC = json.loads(LEVELS.read_text(encoding="utf-8")) if LEVELS.exists() else []
+
+
+@pytest.mark.parametrize("index", range(len(RATE_DIMS)))
+def test_levels_match_golden_bitwise(index):
+    recorded, instance = LEVELS_DOC[index], RATES_DOC[index]
+    levels = curve_levels(instance["covariance"], instance["dims"], recorded["deltas"])
+    assert levels == {"xi": recorded["xi"], "active_count": recorded["active_count"]}
+
+
+def record_levels() -> list[dict]:
+    """Levels on each rates.json instance near every point where the active set changes."""
+    from conftest import ulps_from
+
+    instances = []
+    for rec in RATES_DOC:
+        spec = validate_spec(np.array(rec["covariance"]), tuple(rec["dims"]))
+        setup = spectral_setup(spec, conditional_stats(spec))
+        lo, hi = distortion_range(spec, setup)
+        inv = 1.0 / setup.d[setup.active] ** 2
+        totals = np.cumsum(inv)[1:] - np.arange(2, inv.size + 1) * inv[1:]
+        anchors = [lo, hi, *(hi - totals).tolist()]
+        deltas = list(rec["deltas"])
+        for x in anchors:
+            deltas += [x, *ulps_from(x, 4, -math.inf), *ulps_from(x, 4, math.inf)]
+        deltas.sort()
+        levels = curve_levels(rec["covariance"], rec["dims"], deltas)
+        instances.append({"deltas": deltas, **levels})
+    return instances
+
+
 def oracle_outputs(q, dims, delta, grid) -> dict:
     spec = validate_spec(np.array(q), tuple(dims))
     res = brute_force_rdf(spec, delta, OracleResolution(*grid))
@@ -266,4 +307,6 @@ if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     RATES.write_text(json.dumps(record_rates()) + "\n", encoding="utf-8")
     ORACLE.write_text(json.dumps(record_oracle()) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN}, {RATES} and {ORACLE}", file=sys.stderr)
+    RATES_DOC = json.loads(RATES.read_text(encoding="utf-8"))
+    LEVELS.write_text(json.dumps(record_levels()) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}, {RATES}, {ORACLE} and {LEVELS}", file=sys.stderr)

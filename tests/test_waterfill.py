@@ -1,20 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remoterdf.core import conditional_stats, validate_spec
 from remoterdf.errors import BelowRangeError, HypothesisViolatedError
 from remoterdf.oracle import OracleResolution, brute_force_rdf
 from remoterdf.waterfill import (
-    _water_level,
+    _water_levels,
     distortion_range,
     rdf_curve,
     solve_waterfill,
     spectral_setup,
 )
 
-from conftest import wyner_spec
+from conftest import generated_spec, ulps_from, wyner_spec
 
 
 def make_setup(spec):
@@ -262,29 +265,61 @@ class TestRdfCurve:
         with pytest.raises(ValueError):
             rdf_curve(scalar_spec, [0.5, 0.3])
 
-    def test_points_bitwise_equal_to_individual_solves(self, make_spec):
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 8, 33, 64]),
+        seed=st.integers(0, 2**32 - 1),
+        finite=st.lists(
+            st.one_of(st.floats(-0.5, 1.5), st.sampled_from(["lo", "hi"])),
+            min_size=1,
+            max_size=30,
+        ),
+        non_finite=st.lists(
+            st.tuples(st.integers(0, 30), st.sampled_from([math.nan, math.inf, -math.inf])),
+            max_size=4,
+        ),
+    )
+    def test_points_bitwise_equal_to_individual_solves(self, n, seed, finite, non_finite):
         # Sweep results carry no cross-point state: each point matches an
-        # independent solve bit for bit.
-        rng = np.random.default_rng(14)
-        spec = make_spec(rng, 2, 1)
+        # independent solve bit for bit, whatever the points around it.
+        spec = generated_spec(np.random.default_rng(seed), n, max(1, n // 4))
         setup = make_setup(spec)
         lo, hi = distortion_range(spec, setup)
-        grid = list(np.linspace(lo + 0.1 * (hi - lo), hi, 9))
+        named = {"lo": lo, "hi": hi}
+        grid = sorted(named[f] if isinstance(f, str) else lo + f * (hi - lo) for f in finite)
+        for at, value in non_finite:
+            grid.insert(at, value)
         curve = rdf_curve(spec, grid)
+        assert len(curve.points) == len(grid)
         for delta, point in zip(grid, curve.points):
+            assert point.delta == delta or math.isnan(point.delta)
+            if not math.isfinite(delta):
+                assert (point.feasible, point.error) == (False, "non_finite")
+                continue
+            if delta <= lo:
+                assert (point.feasible, point.error) == (False, "below_range")
+                continue
             sol = solve_waterfill(spec, setup, delta)
             assert point.rate == sol.rate
             assert point.xi == sol.xi
             assert point.active_count == sol.active_count
+            if delta <= hi:
+                assert np.sum(sol.lam) <= setup.trace_xy - delta
 
-
-def ulps_from(x: float, count: int, toward: float) -> list[float]:
-    """The `count` floats next to x in the direction of `toward`."""
-    out = []
-    for _ in range(count):
-        x = float(np.nextafter(x, toward))
-        out.append(x)
-    return out
+    def test_memory_is_bounded_for_long_grids(self):
+        # The grid is solved in blocks, so the working arrays do not grow
+        # with the number of points (unblocked, this curve peaks near 33 MB).
+        spec = generated_spec(np.random.default_rng(15), 64, 16)
+        setup = make_setup(spec)
+        grid = np.linspace(setup.delta_min, 1.01 * setup.trace_xy, 20_000)
+        tracemalloc.start()
+        try:
+            curve = rdf_curve(spec, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(p.feasible for p in curve.points) == grid.size - 1
+        assert peak < 8 * 2**20
 
 
 class TestExactWaterLevel:
@@ -356,7 +391,8 @@ class TestExactWaterLevel:
         for _ in range(200):
             d_sq = np.sort(rng.uniform(0.05, 20.0, size=int(rng.integers(1, 30))))
             target = float(rng.uniform(0.0, 0.999) * np.sum(1.0 / d_sq))
-            xi, lam = _water_level(d_sq, target, 0.0)
+            xi, lam, _, _ = _water_levels(d_sq, target, np.array([0.0]))
+            xi, lam = float(xi[0]), lam[0]
             assert np.sum(lam) <= target
             assert np.sum(lam) == pytest.approx(target, rel=1e-12, abs=1e-15)
             on = lam > 0.0
@@ -366,11 +402,11 @@ class TestExactWaterLevel:
 
     def test_repeated_singular_values(self):
         d_sq = np.array([1.0, 1.0, 4.0, 4.0])
-        xi, lam = _water_level(d_sq, 0.0, 0.0)
-        assert np.all(lam == 0.0)
-        xi, lam = _water_level(d_sq, 1.0, 0.0)
-        assert lam == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-15)
-        assert xi == pytest.approx(1.0, rel=1e-15)
+        _, lam, _, _ = _water_levels(d_sq, 0.0, np.array([0.0]))
+        assert np.all(lam[0] == 0.0)
+        xi, lam, _, _ = _water_levels(d_sq, 1.0, np.array([0.0]))
+        assert lam[0] == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-15)
+        assert xi[0] == pytest.approx(1.0, rel=1e-15)
 
 
 class TestNonFiniteDistortion:
