@@ -29,6 +29,7 @@ from .core import (
     INV_TOL,
     ConditionalStats,
     GaussianSourceSpec,
+    conditional_covariance,
     gaussian_cmi,
     pseudo_inverse,
     psd_tolerance,
@@ -254,10 +255,12 @@ def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> Structur
     q_z = symmetrize(channel.h @ spec.q_s @ channel.h.T + channel.q_w)
     c_zy = channel.h @ spec.q_sy
     c_sz = spec.q_s @ channel.h.T
-    q_s_given_zy = _conditional(spec.q_s, np.hstack([c_sz, spec.q_sy]), q_z, c_zy, q_y)
-    q_s_given_xhy = _conditional(
-        spec.q_s, np.hstack([joint[ss, sxh], spec.q_sy]), q_xhat, joint[sxh, sy], q_y
+    joint_szy = np.block(
+        [[spec.q_s, c_sz, spec.q_sy], [c_sz.T, q_z, c_zy], [spec.q_sy.T, c_zy.T, q_y]]
     )
+    n_s = spec.n_s
+    q_s_given_zy = conditional_covariance(joint_szy, np.r_[:n_s], np.r_[n_s : len(joint_szy)])
+    q_s_given_xhy = conditional_covariance(joint, np.r_[ss], np.r_[sxh, sy])
     r_posterior = float(np.linalg.norm(q_s_given_zy - q_s_given_xhy, "fro"))
 
     q_z_given_y = q_z - c_zy @ np.linalg.solve(q_y, c_zy.T)
@@ -273,12 +276,6 @@ def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> Structur
             "reproduction_cov_match": r_reproduction,
         }
     )
-
-
-def _conditional(q_a, c_ab, q_b1, c_b1b2, q_b2):
-    """Schur complement of A given the stacked block (B1, B2)."""
-    q_b = np.block([[q_b1, c_b1b2], [c_b1b2.T, q_b2]])
-    return symmetrize(q_a - c_ab @ pseudo_inverse(q_b) @ c_ab.T)
 
 
 def rate_of_channel(spec: GaussianSourceSpec, channel: TestChannel) -> ChannelRate:

@@ -4,8 +4,9 @@ The problem instance is the joint covariance of the zero-mean Gaussian vector
 (X, S, Y): X is the source (dimension n_x), S the measurement available to the
 encoder (n_s), Y the side information (n_y).  Everything downstream is a
 function of this matrix, so this module owns validation, the conditional
-(Schur-complement) statistics, PSD square roots, pseudoinverses, and the
-closed-form Gaussian conditional mutual information.  All rates are in nats.
+(Schur-complement) statistics given Y, PSD square roots, pseudoinverses, and
+the closed-form Gaussian conditional mutual information.  All rates are in
+nats.
 """
 
 from __future__ import annotations
@@ -98,18 +99,16 @@ class GaussianSourceSpec:
 
 @dataclass(frozen=True)
 class ConditionalStats:
-    """All Schur complements given Y (and given S,Y) plus the predictor gains.
+    """The Schur complements given Y: Q_{X|Y}, Q_{S|Y} and Q_{X,S|Y}.
 
-    gain_x_from_y = Q_{X,Y} Q_Y^{-1} and gain_s_from_y = Q_{S,Y} Q_Y^{-1} are
-    the linear maps computing E(X|Y) and E(S|Y).
+    The paper's hypotheses and its water-filling solution are stated in
+    these three.  Any other conditional covariance, such as Q_{X|S,Y}, comes
+    from `conditional_covariance` on the joint.
     """
 
     q_x_given_y: np.ndarray
     q_s_given_y: np.ndarray
     q_xs_given_y: np.ndarray
-    q_x_given_sy: np.ndarray
-    gain_x_from_y: np.ndarray
-    gain_s_from_y: np.ndarray
 
 
 def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSourceSpec:
@@ -161,11 +160,11 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
 
 
 def conditional_stats(spec: GaussianSourceSpec) -> ConditionalStats:
-    """Compute the conditional covariances Q_{X|Y}, Q_{S|Y}, Q_{X,S|Y}, Q_{X|S,Y}.
+    """Compute the conditional covariances Q_{X|Y}, Q_{S|Y} and Q_{X,S|Y}.
 
-    Each is the Schur complement of the conditioning block, e.g.
-    Q_{X,S|Y} = Q_{X,S} - Q_{X,Y} Q_Y^{-1} Q_{Y,S}.  The (S,Y) joint block may
-    be singular for degenerate sources, so Q_{X|S,Y} uses a pseudoinverse.
+    Each is the Schur complement of Q_Y, e.g.
+    Q_{X,S|Y} = Q_{X,S} - Q_{X,Y} Q_Y^{-1} Q_{Y,S}; `validate_spec` has
+    already refused a singular Q_Y.
     """
     q_y = spec.q_y
     gain_x = np.linalg.solve(q_y, spec.q_xy.T).T
@@ -174,18 +173,10 @@ def conditional_stats(spec: GaussianSourceSpec) -> ConditionalStats:
     q_x_given_y = symmetrize(spec.q_x - gain_x @ spec.q_xy.T)
     q_s_given_y = symmetrize(spec.q_s - gain_s @ spec.q_sy.T)
     q_xs_given_y = spec.q_xs - gain_x @ spec.q_sy.T
-
-    joint_sy = np.block([[spec.q_s, spec.q_sy], [spec.q_sy.T, q_y]])
-    cross = np.hstack([spec.q_xs, spec.q_xy])
-    q_x_given_sy = symmetrize(spec.q_x - cross @ pseudo_inverse(joint_sy) @ cross.T)
-
     return ConditionalStats(
         q_x_given_y=q_x_given_y,
         q_s_given_y=q_s_given_y,
         q_xs_given_y=q_xs_given_y,
-        q_x_given_sy=q_x_given_sy,
-        gain_x_from_y=gain_x,
-        gain_s_from_y=gain_s,
     )
 
 

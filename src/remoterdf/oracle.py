@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GaussianSourceSpec, conditional_stats
+from .core import INV_TOL, GaussianSourceSpec, conditional_stats
 from .errors import (
     DimensionUnsupportedError,
     HypothesisViolatedError,
@@ -154,14 +154,18 @@ def brute_force_rdf(
     2x2).  Constraint-boundary candidates with trace exactly equal to
     trace(Q_{X|Y}) - delta are appended to each grid, since the optimum sits
     on that boundary.  Feasibility enforces 0 <= M <= Q_{X|Y}, the trace
-    constraint, a PSD reconstruction noise and a positive definite posterior.
+    constraint and a positive definite posterior Q_{S|Y} - W^T M W, with
+    W = Q_{X,S|Y}^{-T} Q_{S|Y}.  The posterior test holds exactly when
+    M^{1/2} K M^{1/2} < I, K = W Q_{S|Y}^{-1} W^T, so it also makes the
+    reconstruction noise Q_W = M - M K M positive semidefinite, and Q_W is
+    not tested on its own.
 
     Ties go to the first candidate in a fixed order: for 1x1, the grid
     ascending, then the trace-boundary candidate; for 2x2, by angle, then
     over the eigenvalue grid row-major (first eigenvalue outer), then over
     that angle's trace-boundary slice in ascending order of the first
-    eigenvalue.  The 2x2 search tests the posterior first and the other two
-    conditions only on its survivors; this short-circuits the same
+    eigenvalue.  The 2x2 search tests the trace and the posterior first and
+    M <= Q_{X|Y} only on their survivors; this short-circuits the same
     conjunction, so `feasible_points` and the winner are as if every test ran
     on every candidate.  It visits the grid in blocks of about 32k
     candidates, which bounds its memory whatever the resolution.
@@ -170,6 +174,8 @@ def brute_force_rdf(
     ------
     DimensionUnsupportedError
         n_x != n_s or n_x not in {1, 2}.
+    HypothesisViolatedError
+        Q_{X,S|Y} not invertible (smallest singular value <= INV_TOL).
     ResolutionTooCoarseError
         Fewer than 10 feasible candidates.
     """
@@ -182,7 +188,7 @@ def brute_force_rdf(
         raise ValueError("resolution must have at least 2 eigenvalue and 1 angle point")
     stats = conditional_stats(spec)
     cross_sv = np.linalg.svd(stats.q_xs_given_y, compute_uv=False)
-    if float(cross_sv[-1]) <= 1e-10:
+    if float(cross_sv[-1]) <= INV_TOL:
         raise HypothesisViolatedError(
             "Q_{X,S|Y} must be invertible", float(cross_sv[-1])
         )
@@ -199,16 +205,15 @@ def _brute_force_scalar(stats, target: float, res: OracleResolution) -> OracleRe
     q_s = float(stats.q_s_given_y[0, 0])
     q_xs = float(stats.q_xs_given_y[0, 0])
 
-    # Candidates above q_xs^2/q_s have negative noise variance, so the grid
-    # stops at the feasible box rather than wasting points past it.
+    # Candidates at or above q_xs^2/q_s have a nonpositive posterior, so the
+    # grid stops at the feasible box rather than wasting points past it.
     a_max = min(q_x, q_xs * q_xs / q_s)
     a = np.linspace(0.0, a_max, res.eig_points)
     a = np.append(a, min(max(target, 0.0), a_max))  # trace-boundary candidate
     ftol = _FEAS_TOL * max(1.0, q_x)
 
     post = q_s - (q_s * q_s / (q_xs * q_xs)) * a
-    q_w = a - (q_s / (q_xs * q_xs)) * a * a
-    feasible = (a >= target - ftol) & (q_w >= -ftol) & (post > 0.0)
+    feasible = (a >= target - ftol) & (post > 0.0)
     n_feasible = int(np.count_nonzero(feasible))
     if n_feasible < 10:
         raise ResolutionTooCoarseError(n_feasible)
@@ -230,16 +235,16 @@ def _brute_force_2x2(stats, target: float, res: OracleResolution) -> OracleResul
     # Everything is expressed in the eigenbasis of the candidate
     # M = a r1 r1^T + b r2 r2^T, so the whole scan is scalar vector math:
     #   post = Q_{S|Y} - a u1 u1^T - b u2 u2^T,   u_i = W^T r_i
-    #   Q_W  = R (diag(a, b) - [[a^2 k11, ab k12], [ab k12, b^2 k22]]) R^T
-    # with W = Q_{X,S|Y}^{-T} Q_{S|Y} and k_ij = r_i^T (W Q_{S|Y}^{-1} W^T) r_j.
+    # with W = Q_{X,S|Y}^{-T} Q_{S|Y}.
     q_x = stats.q_x_given_y
     q_s = stats.q_s_given_y
     binv = np.linalg.inv(stats.q_xs_given_y.T)
     w = binv @ q_s
     k = binv @ q_s @ binv.T
     logdet_prior = float(np.log(np.linalg.det(q_s)))
-    # Eigenvalues of any feasible M are capped both by Q_{X|Y} and by the
-    # noise-feasibility bound lambda_max(M) <= 1/lambda_min(K).
+    # Eigenvalues of any feasible M are capped both by Q_{X|Y} and, since a
+    # positive definite posterior gives M^{1/2} K M^{1/2} < I with
+    # K = W Q_{S|Y}^{-1} W^T, by lambda_max(M) <= 1/lambda_min(K).
     a_max = min(
         float(np.max(np.linalg.eigvalsh(q_x))),
         1.0 / float(np.min(np.linalg.eigvalsh(k))),
@@ -254,8 +259,7 @@ def _brute_force_2x2(stats, target: float, res: OracleResolution) -> OracleResul
         r2 = np.array([-s, c])
         u1 = w.T @ r1
         u2 = w.T @ r2
-        angles.append((c, s, float(u1[0]), float(u1[1]), float(u2[0]), float(u2[1]),
-                       float(r1 @ k @ r1), float(r1 @ k @ r2), float(r2 @ k @ r2)))
+        angles.append((c, s, float(u1[0]), float(u1[1]), float(u2[0]), float(u2[1])))
 
     # Per angle, the best det(post) so far and its (a, b); blocks arrive in
     # candidate order and only a strictly larger value replaces the best.
@@ -269,7 +273,7 @@ def _brute_force_2x2(stats, target: float, res: OracleResolution) -> OracleResul
         # column of the grid without changing any result.
         a_all, b_all = (x.ravel() for x in np.broadcast_arrays(aa, bb))
         keep = a_all + b_all >= target - ftol
-        for i, (c, s, u10, u11, u20, u21, k11, k12, k22) in enumerate(angles):
+        for i, (c, s, u10, u11, u20, u21) in enumerate(angles):
             # Sylvester criterion: post is PD iff p00 > 0 and det > 0.
             p00 = q_s[0, 0] - aa * u10 * u10 - bb * u20 * u20
             p01 = q_s[0, 1] - aa * u10 * u11 - bb * u20 * u21
@@ -281,12 +285,7 @@ def _brute_force_2x2(stats, target: float, res: OracleResolution) -> OracleResul
             g00 = q_x[0, 0] - (a * c * c + b * s * s)
             g01 = q_x[0, 1] - (a - b) * c * s
             g11 = q_x[1, 1] - (a * s * s + b * c * c)
-            feasible = _psd_shifted_sym2(g00, g01, g11, ftol)
-            # Q_W >= 0, evaluated in the M eigenbasis (rotation drops out).
-            feasible &= _psd_shifted_sym2(
-                a - a * a * k11, -(a * b) * k12, b - b * b * k22, ftol
-            )
-            idx = idx[feasible]
+            idx = idx[_psd_shifted_sym2(g00, g01, g11, ftol)]
             if idx.size == 0:
                 continue
             n_feasible += idx.size

@@ -1,9 +1,9 @@
 """Spectral reduction and water-filling solution of the rate-distortion function.
 
-The conditional covariances reduce the problem to parallel components: with
-Q the product of the symmetric square root of Q_{S|Y} and the inverse of
-Q_{X,S|Y}, and Q = V diag(d) U^T its SVD, the reproduction covariance given Y
-is U diag(lambda) U^T and the rate is 0.5 * sum(log(1/(1 - lambda_i d_i^2))).
+The conditional covariances reduce the problem to parallel components: the
+SVD V diag(d) U^T of Q_{S|Y}^{1/2} Q_{X,S|Y}^{-1} (symmetric square root) gives
+the reproduction covariance given Y as U diag(lambda) U^T and the rate as
+0.5 * sum(log(1/(1 - lambda_i d_i^2))).
 The allocations follow a water level xi:
 
     lambda_i = 1/d_i^2 - 1/(2 xi)   when xi > d_i^2 / 2, else 0
@@ -51,19 +51,27 @@ from .errors import BelowRangeError, HypothesisViolatedError
 # beyond its output stays under a few MB for any grid length.
 CURVE_BLOCK = 32768
 
+# Step-downs `_water_levels` may take before it gives up.  The step doubles
+# from one ulp until it is capped at half of xi (at most 53 steps), and xi then
+# halves at most log2(2 xi / d_sq[0]) < 2099 times (the float format's range,
+# subnormals included) before it falls under d_sq[0] / 2, where every
+# allocation is zero.  Passing this bound is a bug, so it raises rather than
+# looping on.
+STEP_DOWN_LIMIT = 2200
+
 
 @dataclass(frozen=True)
 class SpectralSetup:
     """SVD of the reduction matrix with singular values sorted ascending.
 
-    Columns of `u` are permuted with `d` and sign-fixed so the
-    largest-magnitude entry of each is positive; `active` indexes the
-    nonzero singular values and `d_sq` holds their squares.  `q_x_given_y`,
-    its trace (delta_plus) and `delta_min` are carried so that solving at
-    any distortion needs no further conditional statistics.
+    `u` and `d` are the right singular vectors and singular values of
+    Q_{S|Y}^{1/2} Q_{X,S|Y}^{-1}.  Columns of `u` are permuted with `d` and
+    sign-fixed so the largest-magnitude entry of each is positive; `active`
+    indexes the nonzero singular values and `d_sq` holds their squares.
+    `q_x_given_y`, its trace (delta_plus) and `delta_min` are carried so
+    that solving at any distortion needs no further conditional statistics.
     """
 
-    q_mat: np.ndarray
     u: np.ndarray
     d: np.ndarray
     active: np.ndarray
@@ -110,8 +118,11 @@ class RdfCurve:
 def spectral_setup(spec: GaussianSourceSpec, stats: ConditionalStats) -> SpectralSetup:
     """Build the SVD reduction, enforcing the hypotheses it rests on.
 
-    Requires n_x = n_s, invertible Q_{X,S|Y}, and strictly positive definite
-    Q_{S|Y}, Q_{X|Y} and Q_{X|Y} - Q_{X|S,Y}.
+    Checks, in this order, that n_x = n_s, that Q_{X,S|Y} is invertible and
+    that Q_{S|Y} and Q_{X|Y} are positive definite, each against INV_TOL.
+    The paper also assumes Q_{X|Y} > Q_{X|S,Y}; that needs no check, since
+    Q_{X|Y} - Q_{X|S,Y} = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T is positive
+    definite whenever Q_{X,S|Y} is invertible and Q_{S|Y} > 0.
     """
     if spec.n_x != spec.n_s:
         raise HypothesisViolatedError(
@@ -121,19 +132,13 @@ def spectral_setup(spec: GaussianSourceSpec, stats: ConditionalStats) -> Spectra
     cross_sv = np.linalg.svd(stats.q_xs_given_y, compute_uv=False)
     if float(cross_sv[-1]) <= INV_TOL:
         raise HypothesisViolatedError("Q_{X,S|Y} invertible", float(cross_sv[-1]))
-    for name, m in [
-        ("Q_{S|Y} > 0", stats.q_s_given_y),
-        ("Q_{X|Y} > 0", stats.q_x_given_y),
-        ("Q_{X|Y} > Q_{X|S,Y}", stats.q_x_given_y - stats.q_x_given_sy),
-    ]:
+    for name, m in [("Q_{S|Y} > 0", stats.q_s_given_y), ("Q_{X|Y} > 0", stats.q_x_given_y)]:
         low = float(np.min(np.linalg.eigvalsh(m)))
         if low <= INV_TOL:
             raise HypothesisViolatedError(name, low)
 
     root_s = symmetric_sqrt(stats.q_s_given_y)
-    q_mat = np.linalg.solve(stats.q_xs_given_y.T, root_s).T
-
-    _, d_desc, ut_desc = np.linalg.svd(q_mat)
+    _, d_desc, ut_desc = np.linalg.svd(np.linalg.solve(stats.q_xs_given_y.T, root_s).T)
     d = d_desc[::-1].copy()
     u = ut_desc[::-1, :].T.copy()
     for i in range(d.size):
@@ -144,7 +149,6 @@ def spectral_setup(spec: GaussianSourceSpec, stats: ConditionalStats) -> Spectra
     d_sq = d[active] ** 2
     trace_xy = float(np.trace(stats.q_x_given_y))
     return SpectralSetup(
-        q_mat=q_mat,
         u=u,
         d=d,
         active=active,
@@ -186,7 +190,8 @@ def _water_levels(
     points of a typical curve does); each such xi is then stepped down, one
     ulp first and doubling the step each time (but never by more than
     half), and leaves the loop as soon as its row fits.  A point leaves at
-    the latest once xi is below d_sq[0] / 2, where every allocation is zero.
+    the latest once xi is below d_sq[0] / 2, where every allocation is zero;
+    a loop that runs past STEP_DOWN_LIMIT steps raises RuntimeError.
     The excess is floored at k * tiny / min(1, d_sq[0]), tiny the smallest
     normal float, which keeps xi and 2 xi / d_sq finite when delta is
     subnormal or within rounding of trace_xy - C_k.
@@ -211,13 +216,17 @@ def _water_levels(
     lam = np.maximum(0.0, inv - 1.0 / (2.0 * xi[:, None]))
     over = np.flatnonzero(lam.sum(axis=1) > target)
     ulps = 1.0
-    while over.size:
+    for _ in range(STEP_DOWN_LIMIT):
+        if not over.size:
+            break
         x = xi[over]
         x = np.maximum(x - ulps * (x - np.nextafter(x, 0.0)), 0.5 * x)
         xi[over] = x
         lam[over] = np.maximum(0.0, inv - 1.0 / (2.0 * x[:, None]))
         over = over[lam[over].sum(axis=1) > target[over]]
         ulps *= 2.0
+    if over.size:
+        raise RuntimeError(f"water level still overshoots after {STEP_DOWN_LIMIT} step-downs")
     on = lam > 0.0
     rate = 0.5 * np.log(np.where(on, 2.0 * xi[:, None] / d_sq, 1.0)).sum(axis=1)
     return xi, lam, rate, on.sum(axis=1)

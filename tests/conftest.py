@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
-from remoterdf.core import GaussianSourceSpec, conditional_stats, validate_spec
+from remoterdf.core import (
+    GaussianSourceSpec,
+    conditional_covariance,
+    conditional_stats,
+    validate_spec,
+)
 from remoterdf.errors import RemoteRdfError
 
 # Canonical scalar instance used throughout: Q_{X|Y}=0.5, Q_{S|Y}=1, Q_{X,S|Y}=0.5.
 SCALAR_Q = np.array([[1.0, 1.0, 1.0], [1.0, 1.5, 1.0], [1.0, 1.0, 2.0]])
+
+
+def q_x_given_sy(spec: GaussianSourceSpec) -> np.ndarray:
+    """Q_{X|S,Y}: the Schur complement of the (S, Y) block, through a pseudoinverse."""
+    return conditional_covariance(spec.q, np.r_[: spec.n_x], np.r_[spec.n_x : spec.n_total])
 
 
 @pytest.fixture
@@ -54,7 +64,7 @@ def random_feasible_spec(
             float(np.min(np.linalg.eigvalsh(stats.q_s_given_y))),
             float(np.min(np.linalg.eigvalsh(stats.q_x_given_y))),
             float(np.min(np.linalg.svd(stats.q_xs_given_y, compute_uv=False))),
-            float(np.min(np.linalg.eigvalsh(stats.q_x_given_y - stats.q_x_given_sy))),
+            float(np.min(np.linalg.eigvalsh(stats.q_x_given_y - q_x_given_sy(spec)))),
         )
         if min(margins) > min_margin:
             return spec

@@ -55,7 +55,8 @@ class TestBuildChannel:
         assert ch.h[0, 0] == pytest.approx(0.0, abs=1e-14)
         assert ch.q_w[0, 0] == pytest.approx(0.0, abs=1e-14)
         # The reproduction collapses to the side-information predictor E(X|Y).
-        assert ch.g == pytest.approx(stats.gain_x_from_y, abs=1e-14)
+        gain_x = np.linalg.solve(scalar_spec.q_y, scalar_spec.q_xy.T).T
+        assert ch.g == pytest.approx(gain_x, abs=1e-14)
 
     @pytest.mark.parametrize("q,delta", [(1.0, 0.5), (2.0, 0.4), (0.5, 0.5)])
     def test_equal_source_measurement_recovers_wyner_channel(self, q, delta):
@@ -181,6 +182,17 @@ class TestVerifyStructure:
                 ch, _ = waterfill_channel(spec, frac)
                 report = verify_structure(spec, ch)
                 assert report.max_residual < 1e-8, report.residuals
+
+    def test_weak_cross_covariance_is_solved(self):
+        # Q_{X,S|Y} = c = 1e-6 is invertible and Q_{S|Y} = 1, so the paper's
+        # hypotheses hold, although Q_{X|Y} - Q_{X|S,Y} = c^2 = 1e-12 is
+        # under INV_TOL.  The rate at mid-range is 0.5 ln(c^2/(delta - 1 + c^2)).
+        c = 1e-6
+        spec = validate_spec(np.array([[1.0, c, 0.0], [c, 1.0, 0.0], [0.0, 0.0, 1.0]]), (1, 1, 1))
+        ch, sol = waterfill_channel(spec, 0.5)
+        expected = 0.5 * math.log(c * c / ((sol.delta - 1.0) + c * c))
+        assert sol.rate == pytest.approx(expected, rel=1e-12)
+        assert verify_structure(spec, ch).all_pass
 
 
 class TestRateOfChannel:

@@ -18,7 +18,12 @@ from remoterdf.errors import (
     SingularYError,
 )
 
-from conftest import SCALAR_Q, random_feasible_spec
+from conftest import SCALAR_Q, q_x_given_sy, random_feasible_spec
+
+
+def gain_from_y(spec, q_ay):
+    """The predictor gain Q_{A,Y} Q_Y^{-1} computing E(A|Y)."""
+    return np.linalg.solve(spec.q_y, q_ay.T).T
 
 
 class TestValidateSpec:
@@ -78,9 +83,9 @@ class TestConditionalStats:
         assert stats.q_x_given_y == pytest.approx(0.5, abs=1e-15)
         assert stats.q_s_given_y == pytest.approx(1.0, abs=1e-15)
         assert stats.q_xs_given_y == pytest.approx(0.5, abs=1e-15)
-        assert stats.gain_x_from_y == pytest.approx(0.5, abs=1e-15)
-        assert stats.gain_s_from_y == pytest.approx(0.5, abs=1e-15)
-        assert stats.q_x_given_sy == pytest.approx(0.25, abs=1e-12)
+        assert gain_from_y(scalar_spec, scalar_spec.q_xy) == pytest.approx(0.5, abs=1e-15)
+        assert gain_from_y(scalar_spec, scalar_spec.q_sy) == pytest.approx(0.5, abs=1e-15)
+        assert q_x_given_sy(scalar_spec) == pytest.approx(0.25, abs=1e-12)
 
     def test_independent_blocks(self):
         spec = validate_spec(np.diag([2.0, 3.0, 4.0]), (1, 1, 1))
@@ -99,7 +104,8 @@ class TestConditionalStats:
         for n, n_y in [(1, 1), (2, 1), (3, 2)]:
             spec = random_feasible_spec(rng, n, n_y)
             stats = conditional_stats(spec)
-            recon = stats.q_x_given_y + stats.gain_x_from_y @ spec.q_y @ stats.gain_x_from_y.T
+            gain_x = gain_from_y(spec, spec.q_xy)
+            recon = stats.q_x_given_y + gain_x @ spec.q_y @ gain_x.T
             assert np.linalg.norm(recon - spec.q_x, "fro") < 1e-10
 
     def test_conditioning_reduces_covariance(self):
@@ -107,7 +113,7 @@ class TestConditionalStats:
         for _ in range(5):
             spec = random_feasible_spec(rng, 2, 2)
             stats = conditional_stats(spec)
-            gap = stats.q_x_given_y - stats.q_x_given_sy
+            gap = stats.q_x_given_y - q_x_given_sy(spec)
             assert np.min(np.linalg.eigvalsh(gap)) > -1e-10
 
 
@@ -221,4 +227,5 @@ class TestConditionalCovariance:
         got = conditional_covariance(scalar_spec.q, [0], [2])
         assert got == pytest.approx(stats.q_x_given_y, abs=1e-14)
         got_sy = conditional_covariance(scalar_spec.q, [0], [1, 2])
-        assert got_sy == pytest.approx(stats.q_x_given_sy, abs=1e-12)
+        # Hand Schur complement of the (S, Y) block: 1 - [1 1] [[1.5 1] [1 2]]^{-1} [1 1]^T.
+        assert got_sy == pytest.approx(0.25, abs=1e-12)

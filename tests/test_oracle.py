@@ -8,7 +8,11 @@ import pytest
 
 import remoterdf.oracle
 from remoterdf.core import conditional_stats, validate_spec
-from remoterdf.errors import DimensionUnsupportedError, ResolutionTooCoarseError
+from remoterdf.errors import (
+    DimensionUnsupportedError,
+    HypothesisViolatedError,
+    ResolutionTooCoarseError,
+)
 from remoterdf.oracle import (
     OracleResolution,
     brute_force_rdf,
@@ -127,6 +131,19 @@ class TestBruteForce:
         spec = random_feasible_spec(rng, 3, 1)
         with pytest.raises(DimensionUnsupportedError):
             brute_force_rdf(spec, 0.1)
+
+    @pytest.mark.parametrize("cross", [[1e-11], [0.5, 0.0]], ids=["1x1", "2x2"])
+    def test_singular_cross_covariance_refused(self, cross):
+        # Q_{S|Y} = 2 I and Q_{X|Y} = I, with Q_{X,S|Y} = diag(cross): its
+        # smallest singular value is at or below INV_TOL.
+        n = len(cross)
+        q = np.eye(2 * n + 1)
+        q[n : 2 * n, n : 2 * n] *= 2.0
+        q[:n, n : 2 * n] = q[n : 2 * n, :n] = np.diag(cross)
+        with pytest.raises(HypothesisViolatedError) as refusal:
+            brute_force_rdf(validate_spec(q, (n, n, 1)), 0.5)
+        assert refusal.value.hypothesis == "Q_{X,S|Y} must be invertible"
+        assert refusal.value.value == pytest.approx(cross[-1], abs=1e-15)
 
     def test_resolution_too_coarse(self, scalar_spec):
         with pytest.raises(ResolutionTooCoarseError):

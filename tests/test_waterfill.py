@@ -1,12 +1,15 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remoterdf.core import conditional_stats, validate_spec
+import remoterdf.waterfill
+from remoterdf.core import conditional_stats, symmetric_sqrt, validate_spec
 from remoterdf.errors import BelowRangeError, HypothesisViolatedError
 from remoterdf.oracle import OracleResolution, brute_force_rdf
 from remoterdf.waterfill import (
@@ -17,11 +20,17 @@ from remoterdf.waterfill import (
     spectral_setup,
 )
 
-from conftest import generated_spec, ulps_from, wyner_spec
+from conftest import generated_spec, q_x_given_sy, ulps_from, wyner_spec
 
 
 def make_setup(spec):
     return spectral_setup(spec, conditional_stats(spec))
+
+
+def reduction_matrix(spec):
+    """Q = Q_{S|Y}^{1/2} Q_{X,S|Y}^{-1}, whose SVD `spectral_setup` takes."""
+    stats = conditional_stats(spec)
+    return np.linalg.solve(stats.q_xs_given_y.T, symmetric_sqrt(stats.q_s_given_y)).T
 
 
 def diag_block_spec():
@@ -37,7 +46,7 @@ def diag_block_spec():
 class TestSpectralSetup:
     def test_scalar_example(self, scalar_spec):
         setup = make_setup(scalar_spec)
-        assert setup.q_mat == pytest.approx(np.array([[2.0]]))
+        assert reduction_matrix(scalar_spec) == pytest.approx(np.array([[2.0]]))
         assert setup.d == pytest.approx([2.0])
         assert setup.d[0] ** 2 == pytest.approx(4.0)
 
@@ -53,12 +62,14 @@ class TestSpectralSetup:
     def test_svd_reconstruction_and_orthogonality(self, make_spec):
         rng = np.random.default_rng(7)
         for n, n_y in [(1, 1), (2, 2), (3, 1)]:
-            setup = make_setup(make_spec(rng, n, n_y))
+            spec = make_spec(rng, n, n_y)
+            setup = make_setup(spec)
+            q_mat = reduction_matrix(spec)
             assert np.all(np.diff(setup.d) >= 0)
             # Left singular vectors follow from the right ones: V = Q U D^{-1}.
-            v = setup.q_mat @ setup.u / setup.d
+            v = q_mat @ setup.u / setup.d
             recon = (v * setup.d) @ setup.u.T
-            assert np.linalg.norm(recon - setup.q_mat, "fro") < 1e-10
+            assert np.linalg.norm(recon - q_mat, "fro") < 1e-10
             assert np.linalg.norm(setup.u @ setup.u.T - np.eye(n), "fro") < 1e-10
             assert np.linalg.norm(v @ v.T - np.eye(n), "fro") < 1e-10
 
@@ -99,14 +110,22 @@ class TestDistortionRange:
         assert hi == pytest.approx(1.0)
         assert lo == pytest.approx(1.0 - (0.25 + 0.0625), abs=1e-12)
 
-    def test_lower_boundary_is_remote_noise_floor(self, make_spec):
-        # delta_min equals trace(Q_{X|S,Y}) when the hypotheses hold.
-        rng = np.random.default_rng(9)
-        for n in (1, 2, 3):
-            spec = make_spec(rng, n, 1)
-            stats = conditional_stats(spec)
-            lo, _ = distortion_range(spec, make_setup(spec))
-            assert lo == pytest.approx(float(np.trace(stats.q_x_given_sy)), abs=1e-9)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 8, 33, 64]), seed=st.integers(0, 2**32 - 1))
+    def test_lower_boundary_is_remote_noise_floor(self, n, seed):
+        # The hypotheses Q_{X,S|Y} invertible and Q_{S|Y} > 0 imply
+        # Q_{X|Y} > Q_{X|S,Y} through Q_{X|Y} - Q_{X|S,Y} = C Q_{S|Y}^{-1} C^T,
+        # C = Q_{X,S|Y}, which is why `spectral_setup` does not test it; and
+        # delta_min equals trace(Q_{X|S,Y}).
+        spec = generated_spec(np.random.default_rng(seed), n, max(1, n // 4))
+        stats = conditional_stats(spec)
+        floor = q_x_given_sy(spec)
+        cross = stats.q_xs_given_y
+        gap = cross @ np.linalg.solve(stats.q_s_given_y, cross.T)
+        err = np.linalg.norm(stats.q_x_given_y - floor - gap, "fro")
+        assert err <= 1e-10 * np.linalg.norm(gap, "fro")
+        lo, _ = distortion_range(spec, make_setup(spec))
+        assert lo == pytest.approx(float(np.trace(floor)), abs=1e-9)
 
 
 class TestSolveWaterfill:
@@ -407,6 +426,54 @@ class TestExactWaterLevel:
         xi, lam, _, _ = _water_levels(d_sq, 1.0, np.array([0.0]))
         assert lam[0] == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-15)
         assert xi[0] == pytest.approx(1.0, rel=1e-15)
+
+    def test_step_down_is_bounded(self, monkeypatch):
+        # The first level of golden levels instance 0 at its 17th distortion
+        # overshoots the target, so finding it takes the step-down loop; at
+        # the 16th it fits at once.  With no step-downs allowed the first
+        # must raise instead of looping, and the second is unaffected.
+        golden = Path(__file__).parent / "golden"
+        instance = json.loads((golden / "rates.json").read_text(encoding="utf-8"))[0]
+        levels = json.loads((golden / "levels.json").read_text(encoding="utf-8"))[0]
+        spec = validate_spec(instance["covariance"], instance["dims"])
+        fits, steps = levels["deltas"][15], levels["deltas"][16]
+        monkeypatch.setattr(remoterdf.waterfill, "STEP_DOWN_LIMIT", 0)
+        with pytest.raises(RuntimeError, match="step-downs"):
+            rdf_curve(spec, [steps])
+        with pytest.raises(RuntimeError, match="step-downs"):
+            solve_waterfill(spec, make_setup(spec), steps)
+        assert rdf_curve(spec, [fits]).points[0].xi == levels["xi"][15]
+
+    def test_rate_near_upper_boundary_matches_high_precision(self):
+        # Q_{S|Y} = I, Q_{X,S|Y} = diag(1e12, 1e11, 1e10) and Q_{X|S,Y} = I
+        # give d_i^2 = 1e-24, 1e-22, 1e-20, so |log d_i^2| > 46.  Within 1e-6
+        # of delta_plus the rate is below 1e-6; summing it as
+        # k log(2 xi) - sum(log d_i^2) loses about 3e-8 of it, relative, to
+        # cancellation, and summed per component it loses under 1e-9.
+        mpmath = pytest.importorskip("mpmath")
+        cross = np.array([1e12, 1e11, 1e10])
+        q = np.zeros((7, 7))
+        q[:3, :3] = np.diag(cross**2 + 1.0)
+        q[:3, 3:6] = q[3:6, :3] = np.diag(cross)
+        q[3:6, 3:6] = np.eye(3)
+        q[6, 6] = 1.0
+        spec = validate_spec(q, (3, 3, 1))
+        setup = make_setup(spec)
+        lo, hi = distortion_range(spec, setup)
+        with mpmath.workdps(50):
+            inv = [1 / mpmath.mpf(float(x)) for x in setup.d_sq]
+            for j in range(1, 11):
+                delta = hi - j * 1e-7 * (hi - lo)
+                target = mpmath.mpf(setup.trace_xy) - mpmath.mpf(delta)
+                # Exact level: the first k whose 1/(2 xi) lies in [c_{k+1}, c_k].
+                k = next(
+                    k for k in range(1, len(inv) + 1)
+                    if k == len(inv) or (sum(inv[:k]) - target) / k >= inv[k]
+                )
+                half_inv_xi = (sum(inv[:k]) - target) / k
+                exact = sum(mpmath.log(c / half_inv_xi) for c in inv[:k]) / 2
+                rate = solve_waterfill(spec, setup, delta).rate
+                assert abs(rate - exact) <= 3e-9 * exact
 
 
 class TestNonFiniteDistortion:
