@@ -10,8 +10,10 @@ Subcommands:
 
 Outputs are CSV (default for curve/remark3) or JSON (default otherwise);
 numeric CSV fields carry 17 significant digits so parsing the output recovers
-the records exactly.  Exit codes: 0 success, 1 bad input or infeasible
-request, 2 at least one curve point failed, 3 verification failed.
+the records exactly.  `--bits` (curve, channel, oracle) reports the headline
+rate in bits.  Exit codes: 0 success, 1 bad input or infeasible request
+(usage errors and non-finite grid bounds included), 2 at least one curve
+point failed, 3 verification failed.
 """
 
 from __future__ import annotations
@@ -43,21 +45,29 @@ REMARK3_HEADER = (
     "delta,prior_noise_variance,prior_z_variance,"
     "wyner_h,wyner_q_w,wyner_z_variance,divergent"
 )
+# Test-channel matrices of `channel`, in the order its CSV lists them.
+_CHANNEL_MATRICES = ("h", "g", "q_w", "sigma_delta", "q_xhat_given_y", "q_s_given_xhat_y")
 
 
-def _sig17(value) -> str:
-    """17-significant-digit rendering; None becomes the empty field."""
+def _cell(value) -> str:
+    """One CSV field: None is empty, booleans are true/false, ints and strings
+    are written as they are, and floats carry 17 significant digits."""
     if value is None:
         return ""
-    return format(float(value), ".17g")
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    return format(value, ".17g")
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(doc: dict) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True))
+def _render(args, doc: dict, header: str, rows) -> None:
+    """Write `doc` as JSON, or `header` and `rows` as CSV, per --format."""
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    else:
+        text = "\n".join([header, *(",".join(map(_cell, row)) for row in rows)])
+    sys.stdout.write(text + "\n")
 
 
 def _fail(message: str) -> int:
@@ -77,6 +87,8 @@ def _parse_grid(args) -> list[float]:
         raise ValueError("need --deltas or all of --delta-min, --delta-max, --points")
     if args.points < 1:
         raise ValueError("--points must be >= 1")
+    if not (math.isfinite(args.delta_min) and math.isfinite(args.delta_max)):
+        raise ValueError("--delta-min and --delta-max must be finite")
     if args.delta_max < args.delta_min:
         raise ValueError("--delta-max must be >= --delta-min")
     return [float(d) for d in np.linspace(args.delta_min, args.delta_max, args.points)]
@@ -100,27 +112,8 @@ def curve_records(points) -> list[dict]:
     return records
 
 
-def curve_csv(records) -> str:
-    lines = [CURVE_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    _sig17(r["delta"]),
-                    _sig17(r["rate_nats"]),
-                    _sig17(r["rate_bits"]),
-                    _sig17(r["xi"]),
-                    "" if r["active_count"] is None else str(r["active_count"]),
-                    "true" if r["feasible"] else "false",
-                    r["error"],
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def parse_curve_csv(text: str) -> list[dict]:
-    """Inverse of curve_csv; recovers the records exactly."""
+    """Inverse of `curve` CSV output; recovers the records exactly."""
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CURVE_HEADER:
         raise ValueError("not a curve CSV document")
@@ -143,19 +136,13 @@ def parse_curve_csv(text: str) -> list[dict]:
 
 def cmd_curve(args) -> int:
     loaded = load_spec_file(args.spec)
-    grid = _parse_grid(args)
-    curve = rdf_curve(loaded.spec, grid)
-    records = curve_records(curve.points)
-    if args.format == "csv":
-        _emit(curve_csv(records))
-    else:
-        _emit_json(
-            {
-                "label": loaded.label,
-                "rate_unit": "bits" if args.bits else "nats",
-                "records": records,
-            }
-        )
+    records = curve_records(rdf_curve(loaded.spec, _parse_grid(args)).points)
+    doc = {
+        "label": loaded.label,
+        "rate_unit": "bits" if args.bits else "nats",
+        "records": records,
+    }
+    _render(args, doc, CURVE_HEADER, [r.values() for r in records])
     return 0 if all(r["feasible"] for r in records) else 2
 
 
@@ -163,102 +150,75 @@ def _matrix(m: np.ndarray) -> list:
     return np.asarray(m, dtype=float).tolist()
 
 
+def _solve(spec, delta: float):
+    """Conditional statistics, spectral setup and water-filling at `delta`."""
+    stats = conditional_stats(spec)
+    setup = spectral_setup(spec, stats)
+    return stats, setup, solve_waterfill(spec, setup, delta)
+
+
 def cmd_channel(args) -> int:
     loaded = load_spec_file(args.spec)
     spec = loaded.spec
-    stats = conditional_stats(spec)
-    setup = spectral_setup(spec, stats)
-    lo, hi = distortion_range(spec, setup)
     try:
-        sol = solve_waterfill(spec, setup, args.delta)
-    except BelowRangeError:
+        stats, setup, sol = _solve(spec, args.delta)
+    except BelowRangeError as exc:
         return _fail(
-            f"infinite rate at lower boundary (delta {args.delta!r} <= delta_min {lo!r})"
+            f"infinite rate at lower boundary (delta {args.delta!r} <= delta_min "
+            f"{exc.delta_min!r})"
         )
+    lo, hi = distortion_range(spec, setup)
     ch = build_channel(spec, stats, sol.sigma_delta)
     rates = rate_of_channel(spec, ch)
     report = verify_structure(spec, ch)
-    unit = "bits" if args.bits else "nats"
-    headline = rates.rate / LN2 if args.bits else rates.rate
-
-    if args.format == "csv":
-        lines = ["field,row,col,value"]
-        for name, value in [
-            ("delta", sol.delta),
-            ("delta_min", lo),
-            ("delta_max", hi),
-            ("rate_nats", rates.rate),
-            ("rate_bits", rates.rate / LN2),
-            ("rate_alt_nats", rates.rate_alt),
-            ("rate_discrepancy", rates.discrepancy),
-            ("xi", sol.xi),
-            ("active_count", sol.active_count),
-        ]:
-            lines.append(f"{name},,,{_sig17(value)}")
-        for name, m in [
-            ("h", ch.h),
-            ("g", ch.g),
-            ("q_w", ch.q_w),
-            ("sigma_delta", ch.sigma_delta),
-            ("q_xhat_given_y", ch.q_xhat_given_y),
-            ("q_s_given_xhat_y", ch.q_s_given_xhat_y),
-        ]:
-            for i in range(m.shape[0]):
-                for j in range(m.shape[1]):
-                    lines.append(f"{name},{i},{j},{_sig17(m[i, j])}")
-        for name, value in report.residuals.items():
-            lines.append(f"residual.{name},,,{_sig17(value)}")
-        _emit("\n".join(lines))
-    else:
-        _emit_json(
-            {
-                "label": loaded.label,
-                "delta": sol.delta,
-                "delta_range": {"min": lo, "max": hi},
-                "above_range": sol.above_range,
-                "rate": headline,
-                "rate_unit": unit,
-                "rates": {
-                    "nats": rates.rate,
-                    "bits": rates.rate / LN2,
-                    "alt_nats": rates.rate_alt,
-                    "alt_bits": rates.rate_alt / LN2,
-                    "discrepancy": rates.discrepancy,
-                },
-                "water": {
-                    "xi": sol.xi,
-                    "active_count": sol.active_count,
-                    "allocations": _matrix(sol.lam),
-                },
-                "channel": {
-                    "h": _matrix(ch.h),
-                    "g": _matrix(ch.g),
-                    "q_w": _matrix(ch.q_w),
-                    "sigma_delta": _matrix(ch.sigma_delta),
-                    "q_xhat_given_y": _matrix(ch.q_xhat_given_y),
-                    "q_s_given_xhat_y": _matrix(ch.q_s_given_xhat_y),
-                },
-                "decoder_only": {
-                    "h": _matrix(ch.h),
-                    "q_w": _matrix(ch.q_w),
-                    "g": _matrix(ch.g),
-                },
-                "structural_residuals": report.residuals,
-                "structural_pass": report.all_pass,
-            }
-        )
+    matrices = {name: _matrix(getattr(ch, name)) for name in _CHANNEL_MATRICES}
+    doc = {
+        "label": loaded.label,
+        "delta": sol.delta,
+        "delta_range": {"min": lo, "max": hi},
+        "above_range": sol.above_range,
+        "rate": rates.rate / LN2 if args.bits else rates.rate,
+        "rate_unit": "bits" if args.bits else "nats",
+        "rates": {
+            "nats": rates.rate,
+            "bits": rates.rate / LN2,
+            "alt_nats": rates.rate_alt,
+            "alt_bits": rates.rate_alt / LN2,
+            "discrepancy": rates.discrepancy,
+        },
+        "water": {
+            "xi": sol.xi,
+            "active_count": sol.active_count,
+            "allocations": _matrix(sol.lam),
+        },
+        "channel": matrices,
+        "decoder_only": {name: matrices[name] for name in ("h", "q_w", "g")},
+        "structural_residuals": report.residuals,
+        "structural_pass": report.all_pass,
+    }
+    rows = [
+        ("delta", None, None, sol.delta),
+        ("delta_min", None, None, lo),
+        ("delta_max", None, None, hi),
+        ("rate_nats", None, None, rates.rate),
+        ("rate_bits", None, None, rates.rate / LN2),
+        ("rate_alt_nats", None, None, rates.rate_alt),
+        ("rate_discrepancy", None, None, rates.discrepancy),
+        ("xi", None, None, sol.xi),
+        ("active_count", None, None, sol.active_count),
+        *((name, i, j, value) for name, m in matrices.items()
+          for i, row in enumerate(m) for j, value in enumerate(row)),
+        *((f"residual.{k}", None, None, v) for k, v in report.residuals.items()),
+    ]
+    _render(args, doc, "field,row,col,value", rows)
     return 0
 
 
 def cmd_verify(args) -> int:
     loaded = load_spec_file(args.spec)
     spec = loaded.spec
-    stats = conditional_stats(spec)
-    setup = spectral_setup(spec, stats)
-    sol = solve_waterfill(spec, setup, args.delta)
+    stats, _, sol = _solve(spec, args.delta)
     ch = build_channel(spec, stats, sol.sigma_delta)
-    if args.inject_h_perturbation:
-        ch = dataclasses.replace(ch, h=ch.h + args.inject_h_perturbation)
     report = verify_structure(spec, ch)
     sim = simulate_channel(spec, ch, n_samples=args.samples, seed=args.seed)
     trace_sigma = float(np.trace(ch.sigma_delta))
@@ -286,20 +246,17 @@ def cmd_verify(args) -> int:
         },
         "verdict": "pass" if verdict else "fail",
     }
-    if args.format == "csv":
-        lines = ["field,value"]
-        lines.append(f"delta,{_sig17(sol.delta)}")
-        lines.append(f"n_samples,{sim.n_samples}")
-        lines.append(f"seed,{sim.seed}")
-        lines.append(f"trace_sigma_delta,{_sig17(trace_sigma)}")
-        for name, value in report.residuals.items():
-            lines.append(f"residual.{name},{_sig17(value)}")
-        lines.append(f"empirical_distortion,{_sig17(sim.empirical_distortion)}")
-        lines.append(f"standard_error,{_sig17(sim.standard_error)}")
-        lines.append(f"verdict,{doc['verdict']}")
-        _emit("\n".join(lines))
-    else:
-        _emit_json(doc)
+    rows = [
+        ("delta", sol.delta),
+        ("n_samples", sim.n_samples),
+        ("seed", sim.seed),
+        ("trace_sigma_delta", trace_sigma),
+        *((f"residual.{name}", value) for name, value in report.residuals.items()),
+        ("empirical_distortion", sim.empirical_distortion),
+        ("standard_error", sim.standard_error),
+        ("verdict", doc["verdict"]),
+    ]
+    _render(args, doc, "field,value", rows)
     return 0 if verdict else 3
 
 
@@ -311,9 +268,7 @@ def cmd_oracle(args) -> int:
             "brute force comparison supports n_x = n_s <= 2, "
             f"got ({spec.n_x}, {spec.n_s})"
         )
-    stats = conditional_stats(spec)
-    setup = spectral_setup(spec, stats)
-    sol = solve_waterfill(spec, setup, args.delta)
+    stats, _, sol = _solve(spec, args.delta)
     resolution = OracleResolution(
         eig_points=args.resolution, angle_points=args.angle_points
     )
@@ -349,50 +304,16 @@ def cmd_oracle(args) -> int:
         },
         "pass": ok,
     }
-    if args.format == "csv":
-        lines = ["field,value"]
-        for key in (
-            "delta",
-            "rate_waterfill_nats",
-            "rate_bruteforce_nats",
-            "gap_nats",
-            "tolerance_nats",
-        ):
-            lines.append(f"{key},{_sig17(doc[key])}")
-        lines.append(f"feasible_points,{oracle.feasible_points}")
-        lines.append(f"pass,{'true' if ok else 'false'}")
-        _emit("\n".join(lines))
-    else:
-        _emit_json(doc)
+    fields = ("delta", "rate_waterfill_nats", "rate_bruteforce_nats", "gap_nats",
+              "tolerance_nats", "feasible_points", "pass")
+    _render(args, doc, "field,value", [(key, doc[key]) for key in fields])
     return 0 if ok else 3
 
 
 def cmd_remark3(args) -> int:
     rows = remark3_discrepancy(args.q, _parse_grid(args))
-    if args.format == "csv":
-        lines = [REMARK3_HEADER]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        _sig17(r.delta),
-                        _sig17(r.prior_noise_variance),
-                        _sig17(r.prior_z_variance),
-                        _sig17(r.wyner_h),
-                        _sig17(r.wyner_q_w),
-                        _sig17(r.wyner_z_variance),
-                        "true" if r.divergent else "false",
-                    ]
-                )
-            )
-        _emit("\n".join(lines))
-    else:
-        _emit_json(
-            {
-                "q": args.q,
-                "rows": [dataclasses.asdict(r) for r in rows],
-            }
-        )
+    doc = {"q": args.q, "rows": [dataclasses.asdict(r) for r in rows]}
+    _render(args, doc, REMARK3_HEADER, [dataclasses.astuple(r) for r in rows])
     return 0
 
 
@@ -403,15 +324,18 @@ def _add_format(parser, default: str) -> None:
         default=default,
         help=f"output format (default: {default}); json-like is an alias for json",
     )
-    parser.add_argument(
-        "--bits",
-        action="store_true",
-        help="report headline rates in bits (both units always appear in the data)",
-    )
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as bad input does: exit 2 means a curve point failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="remoterdf",
         description=(
             "Conditional rate-distortion for Gaussian remote sources with "
@@ -440,9 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--delta", type=float, required=True)
     verify.add_argument("--samples", type=int, default=100_000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument(
-        "--inject-h-perturbation", type=float, default=0.0, help=argparse.SUPPRESS
-    )
     _add_format(verify, default="json")
     verify.set_defaults(handler=cmd_verify)
 
@@ -467,6 +388,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(remark3, default="csv")
     remark3.set_defaults(handler=cmd_remark3)
 
+    for headline in (curve, channel, oracle):
+        headline.add_argument(
+            "--bits",
+            action="store_true",
+            help="report headline rates in bits (both units always appear in the data)",
+        )
     return parser
 
 

@@ -58,14 +58,20 @@ class OracleResult:
     resolution: OracleResolution | None = None
 
 
+def _check_variance(q_xy: float) -> None:
+    if not math.isfinite(q_xy):
+        raise ValueError(f"conditional variance must be finite, got {q_xy!r}")
+    if q_xy <= 0:
+        raise ValueError(f"conditional variance must be positive, got {q_xy!r}")
+
+
 def wyner_scalar_rdf(q_xy: float, delta: float) -> OracleResult:
     """Scalar side-information rate-distortion limit (the X = S case).
 
     Rate max(0, 0.5*ln(q_xy/delta)) together with the channel parameters
     H = (q_xy - delta)/q_xy and Q_W = H*delta of the correct realization.
     """
-    if q_xy <= 0:
-        raise ValueError(f"conditional variance must be positive, got {q_xy!r}")
+    _check_variance(q_xy)
     if delta <= 0:
         raise ValueError(f"distortion must be positive, got {delta!r}")
     h = max(0.0, (q_xy - delta) / q_xy)
@@ -113,8 +119,7 @@ def remark3_discrepancy(q_xy: float, deltas) -> list[Remark3Row]:
     once the prior-work variance exceeds DIVERGENCE_FACTOR times the correct
     output variance.
     """
-    if q_xy <= 0:
-        raise ValueError(f"conditional variance must be positive, got {q_xy!r}")
+    _check_variance(q_xy)
     rows = []
     for delta in deltas:
         delta = float(delta)

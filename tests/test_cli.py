@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from remoterdf.channel import build_channel
 from remoterdf.cli import CURVE_HEADER, REMARK3_HEADER, main, parse_curve_csv
 
 from conftest import SCALAR_Q, random_feasible_spec
@@ -43,7 +47,7 @@ class TestCurve:
         assert all(r["rate_bits"] == pytest.approx(r["rate_nats"] / math.log(2)) for r in records)
 
     def test_csv_round_trip_exact(self, capsys, spec_path):
-        from remoterdf.cli import curve_csv, curve_records
+        from remoterdf.cli import curve_records
         from remoterdf.specfile import load_spec_file
         from remoterdf.waterfill import rdf_curve
 
@@ -57,7 +61,6 @@ class TestCurve:
         spec = load_spec_file(spec_path).spec
         records = curve_records(rdf_curve(spec, grid).points)
         assert parse_curve_csv(out) == records
-        assert parse_curve_csv(curve_csv(records)) == records
         # And repeated invocations are byte-identical.
         code2, out2, _ = run(
             capsys,
@@ -124,6 +127,17 @@ class TestCurve:
         assert records[1]["error"] == "non_finite"
         assert records[1]["rate_nats"] is None
         assert math.isnan(records[1]["delta"])
+
+    @pytest.mark.parametrize("command", ["curve", "remark3"])
+    @pytest.mark.parametrize("lo, hi", [("0.3", "inf"), ("-inf", "0.5"), ("nan", "0.5"),
+                                        ("0.3", "nan")])
+    def test_non_finite_range_bound_exit_1(self, capsys, spec_path, command, lo, hi):
+        source = [spec_path] if command == "curve" else ["--q", "1.0"]
+        argv = [command, *source, f"--delta-min={lo}", f"--delta-max={hi}", "--points", "3"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
 
     def test_grid_argument_validation(self, capsys, spec_path):
         code, _, err = run(capsys, ["curve", spec_path])
@@ -196,21 +210,15 @@ class TestVerify:
         assert doc["monte_carlo"]["pass"] is True
         assert doc["analytic"]["residuals_pass"] is True
 
-    def test_corrupted_channel_exit_3(self, capsys, spec_path):
+    def test_corrupted_channel_exit_3(self, capsys, spec_path, monkeypatch):
+        def corrupted(*args):
+            ch = build_channel(*args)
+            return dataclasses.replace(ch, h=ch.h + 0.1)
+
+        monkeypatch.setattr("remoterdf.cli.build_channel", corrupted)
         code, out, _ = run(
             capsys,
-            [
-                "verify",
-                spec_path,
-                "--delta",
-                "0.375",
-                "--samples",
-                "50000",
-                "--seed",
-                "1",
-                "--inject-h-perturbation",
-                "0.1",
-            ],
+            ["verify", spec_path, "--delta", "0.375", "--samples", "50000", "--seed", "1"],
         )
         assert code == 3
         assert json.loads(out)["verdict"] == "fail"
@@ -315,3 +323,60 @@ class TestRemark3:
     def test_out_of_range_exit_1(self, capsys):
         code, _, err = run(capsys, ["remark3", "--q", "1.0", "--deltas", "1.5"])
         assert code == 1
+
+    @pytest.mark.parametrize("q", ["inf", "nan"])
+    def test_non_finite_q_exit_1(self, capsys, q):
+        code, out, err = run(capsys, ["remark3", f"--q={q}", "--deltas", "0.5,0.9"])
+        assert code == 1
+        assert out == ""
+        assert "conditional variance must be finite" in err
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["channel", "{spec}"],
+            ["curve", "{spec}", "--points", "abc"],
+            ["curve", "{spec}", "--deltas", "0.4", "--format", "xml"],
+            ["verify", "{spec}", "--delta", "0.375", "--bits"],
+            ["verify", "{spec}", "--delta", "0.375", "--inject-h-perturbation", "0.1"],
+            ["remark3", "--q", "1.0", "--deltas", "0.5", "--bits"],
+            [],
+        ],
+        ids=["channel-no-delta", "points-abc", "format-xml", "verify-bits",
+             "verify-inject-h-perturbation", "remark3-bits", "no-command"],
+    )
+    def test_usage_error_exit_1(self, capsys, spec_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(spec=spec_path) for arg in argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["curve", "--help"], ["verify", "-h"]])
+    def test_help_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: remoterdf" in capsys.readouterr().out
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The `remoterdf ...` lines of README's ## CLI code block, split into argv."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("remoterdf ")]
+
+
+def test_readme_cli_block_covers_every_command():
+    commands = readme_cli_commands()
+    assert {argv[0] for argv in commands} == {"curve", "channel", "verify", "oracle", "remark3"}
+
+
+@pytest.mark.parametrize("argv", readme_cli_commands(), ids=" ".join)
+def test_readme_cli_command_succeeds(capsys, spec_path, argv):
+    code, out, _ = run(capsys, [spec_path if arg == "spec.json" else arg for arg in argv])
+    assert code == 0
+    assert out

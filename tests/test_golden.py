@@ -69,6 +69,10 @@ CASES = {
                          "--points", "41"],
     "curve-scalar-json": ["curve", "{scalar}", "--deltas", "0.3,0.375,0.45,0.5",
                           "--format", "json"],
+    # Below delta_min, NaN, inside the range and above delta_plus in one grid.
+    "curve-scalar-mixed-csv": ["curve", "{scalar}", "--deltas", "0.2,0.3,nan,0.45,0.7"],
+    "curve-scalar-mixed-json": ["curve", "{scalar}", "--deltas", "0.2,0.3,nan,0.45,0.7",
+                                "--format", "json"],
     "curve-pair-csv": ["curve", "{pair}", "--delta-min", "0.4", "--delta-max", "1.1",
                        "--points", "15"],
     "curve-pair-json-bits": ["curve", "{pair}", "--delta-min", "0.4", "--delta-max", "1.1",
@@ -77,10 +81,13 @@ CASES = {
     "channel-scalar-csv": ["channel", "{scalar}", "--delta", "0.375", "--format", "csv"],
     "channel-scalar-upper": ["channel", "{scalar}", "--delta", "0.5"],
     "channel-scalar-lower": ["channel", "{scalar}", "--delta", "0.25"],
+    "channel-scalar-above-csv": ["channel", "{scalar}", "--delta", "0.6", "--format", "csv"],
     "channel-pair-json": ["channel", "{pair}", "--delta", "0.48"],
     "channel-pair-csv": ["channel", "{pair}", "--delta", "0.8", "--format", "csv"],
     "verify-scalar-json": ["verify", "{scalar}", "--delta", "0.375", "--samples", "20000",
                            "--seed", "0"],
+    "verify-scalar-csv": ["verify", "{scalar}", "--delta", "0.375", "--samples", "20000",
+                          "--seed", "0", "--format", "csv"],
     "verify-pair-csv": ["verify", "{pair}", "--delta", "0.7", "--samples", "20000",
                         "--seed", "0", "--format", "csv"],
     "oracle-scalar-json": ["oracle", "{scalar}", "--delta", "0.375"],

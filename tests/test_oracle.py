@@ -109,6 +109,13 @@ class TestRemark3:
         with pytest.raises(ValueError):
             remark3_discrepancy(1.0, [1.5])
 
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_rejects_non_finite_variance(self, q):
+        with pytest.raises(ValueError, match="finite"):
+            remark3_discrepancy(q, [0.5])
+        with pytest.raises(ValueError, match="finite"):
+            wyner_scalar_rdf(q, 0.5)
+
 
 class TestBruteForce:
     def test_scalar_example(self, scalar_spec):
