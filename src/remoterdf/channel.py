@@ -47,6 +47,10 @@ from .errors import (
 # normalized so the largest diagonal entry of the joint is O(1).
 STRUCT_TOL = 1e-8
 
+# Rows per Monte Carlo chunk: keeps each chunk's buffers near L2 size at
+# n_total = 18 and the simulation's memory independent of the sample count.
+_CHUNK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class TestChannel:
@@ -301,24 +305,58 @@ def simulate_channel(
     """Monte Carlo estimate of the mean squared reproduction error.
 
     Draws (X, S, Y) through the symmetric square root of the joint covariance
-    (which handles singular joints), W independently from Q_W, and forms
-    X_hat = H S + G Y + W.  Deterministic for a fixed seed.
+    (which handles singular joints), W independently from Q_W, and forms the
+    error X - X_hat with X_hat = H S + G Y + W.  Deterministic for a fixed
+    seed.
+
+    The samples are drawn and reduced in chunks of `_CHUNK_ROWS` rows through
+    reused buffers, so memory does not depend on `n_samples`.  The stream is
+    that of one draw of all n_samples x n_total (X, S, Y) normals followed by
+    all n_samples x n_x W normals: a second generator with the same seed is
+    first moved past the (X, S, Y) normals by drawing and discarding them
+    (the ziggurat uses a variable number of raw draws per normal, so the
+    bit generator cannot simply be advanced).  The squared errors are
+    reduced per chunk to a mean and a sum of squared deviations, and the
+    chunks are combined with Chan's pairwise update.
     """
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("at least 2 samples are needed to estimate a standard error")
-    rng = np.random.default_rng(seed)
-    root = symmetric_sqrt(spec.q)
-    xsy = rng.standard_normal((n_samples, spec.n_total)) @ root
-    x = xsy[:, : spec.n_x]
-    s = xsy[:, spec.n_x : spec.n_x + spec.n_s]
-    y = xsy[:, spec.n_x + spec.n_s :]
-    w = rng.standard_normal((n_samples, spec.n_x)) @ symmetric_sqrt(channel.q_w)
-    xhat = s @ channel.h.T + y @ channel.g.T + w
-    sq_err = np.sum((x - xhat) ** 2, axis=1)
+    n_x = spec.n_x
+    # X - X_hat = [X, S, Y] [I; -H^T; -G^T] - W, one product per stream.
+    mix = symmetric_sqrt(spec.q) @ np.vstack([np.eye(n_x), -channel.h.T, -channel.g.T])
+    root_w = symmetric_sqrt(channel.q_w)
+    rows = min(_CHUNK_ROWS, n_samples)
+    sizes = [min(rows, n_samples - start) for start in range(0, n_samples, rows)]
+    z = np.empty((rows, spec.n_total))
+    z_w = np.empty((rows, n_x))
+    err = np.empty((rows, n_x))
+    noise = np.empty((rows, n_x))
+    sq = np.empty(rows)
+
+    rng_xsy = np.random.default_rng(seed)
+    rng_w = np.random.default_rng(seed)
+    for m in sizes:
+        rng_w.standard_normal(out=z[:m])
+    count, mean, m2 = 0, 0.0, 0.0
+    for m in sizes:
+        rng_xsy.standard_normal(out=z[:m])
+        rng_w.standard_normal(out=z_w[:m])
+        np.matmul(z[:m], mix, out=err[:m])
+        np.matmul(z_w[:m], root_w, out=noise[:m])
+        err[:m] -= noise[:m]
+        np.einsum("ij,ij->i", err[:m], err[:m], out=sq[:m])
+        chunk_mean = float(np.mean(sq[:m]))
+        sq[:m] -= chunk_mean
+        chunk_m2 = float(sq[:m] @ sq[:m])
+        total = count + m
+        shift = chunk_mean - mean
+        mean += shift * m / total
+        m2 += chunk_m2 + shift * shift * count * m / total
+        count = total
     return SimulationResult(
-        empirical_distortion=float(np.mean(sq_err)),
-        standard_error=float(np.std(sq_err, ddof=1) / math.sqrt(n_samples)),
+        empirical_distortion=mean,
+        standard_error=math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples),
         n_samples=n_samples,
         seed=int(seed),
     )

@@ -10,10 +10,11 @@ Subcommands:
 
 Outputs are CSV (default for curve/remark3) or JSON (default otherwise);
 numeric CSV fields carry 17 significant digits so parsing the output recovers
-the records exactly.  `--bits` (curve, channel, oracle) reports the headline
-rate in bits.  Exit codes: 0 success, 1 bad input or infeasible request
-(usage errors and non-finite grid bounds included), 2 at least one curve
-point failed, 3 verification failed.
+the records exactly.  `--bits` reports the headline rate of channel and
+oracle in bits; on curve it only sets the JSON `rate_unit` label.  Exit
+codes: 0 success, 1 bad input or infeasible request (usage errors and
+non-finite grid bounds included), 2 at least one curve point failed,
+3 verification failed.
 """
 
 from __future__ import annotations
@@ -388,7 +389,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(remark3, default="csv")
     remark3.set_defaults(handler=cmd_remark3)
 
-    for headline in (curve, channel, oracle):
+    curve.add_argument(
+        "--bits",
+        action="store_true",
+        help="label the JSON rate_unit as bits; records always carry both units",
+    )
+    for headline in (channel, oracle):
         headline.add_argument(
             "--bits",
             action="store_true",

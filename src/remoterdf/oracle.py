@@ -65,6 +65,13 @@ def _check_variance(q_xy: float) -> None:
         raise ValueError(f"conditional variance must be positive, got {q_xy!r}")
 
 
+def _check_distortion(delta: float) -> None:
+    if not math.isfinite(delta):
+        raise ValueError(f"distortion must be finite, got {delta!r}")
+    if delta <= 0:
+        raise ValueError(f"distortion must be positive, got {delta!r}")
+
+
 def wyner_scalar_rdf(q_xy: float, delta: float) -> OracleResult:
     """Scalar side-information rate-distortion limit (the X = S case).
 
@@ -72,8 +79,7 @@ def wyner_scalar_rdf(q_xy: float, delta: float) -> OracleResult:
     H = (q_xy - delta)/q_xy and Q_W = H*delta of the correct realization.
     """
     _check_variance(q_xy)
-    if delta <= 0:
-        raise ValueError(f"distortion must be positive, got {delta!r}")
+    _check_distortion(delta)
     h = max(0.0, (q_xy - delta) / q_xy)
     q_w = h * delta
     rate = max(0.0, 0.5 * math.log(q_xy / delta))
@@ -84,10 +90,11 @@ def wyner_scalar_rdf(q_xy: float, delta: float) -> OracleResult:
 
 def classical_scalar_rdf(q_x: float, delta: float) -> OracleResult:
     """Classical scalar Gaussian rate-distortion: rate and reproduction variance."""
+    if not math.isfinite(q_x):
+        raise ValueError(f"source variance must be finite, got {q_x!r}")
     if q_x < 0:
         raise ValueError(f"source variance must be nonnegative, got {q_x!r}")
-    if delta <= 0:
-        raise ValueError(f"distortion must be positive, got {delta!r}")
+    _check_distortion(delta)
     rate = 0.5 * math.log(q_x / delta) if q_x > 0 else 0.0
     return OracleResult(
         rate=max(0.0, rate),

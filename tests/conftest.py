@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from remoterdf.core import (
     GaussianSourceSpec,
     conditional_covariance,
     conditional_stats,
+    symmetric_sqrt,
     validate_spec,
 )
 from remoterdf.errors import RemoteRdfError
@@ -16,6 +19,23 @@ SCALAR_Q = np.array([[1.0, 1.0, 1.0], [1.0, 1.5, 1.0], [1.0, 1.0, 2.0]])
 def q_x_given_sy(spec: GaussianSourceSpec) -> np.ndarray:
     """Q_{X|S,Y}: the Schur complement of the (S, Y) block, through a pseudoinverse."""
     return conditional_covariance(spec.q, np.r_[: spec.n_x], np.r_[spec.n_x : spec.n_total])
+
+
+def simulate_whole_array(spec: GaussianSourceSpec, channel, n_samples: int, seed: int):
+    """Reference Monte Carlo that holds every sample at once.
+
+    One draw of all (X, S, Y) normals, then one of all W normals, from a
+    single generator; returns (empirical distortion, standard error).  The
+    chunked `simulate_channel` must reproduce it to rounding.
+    """
+    rng = np.random.default_rng(seed)
+    xsy = rng.standard_normal((n_samples, spec.n_total)) @ symmetric_sqrt(spec.q)
+    x = xsy[:, : spec.n_x]
+    s = xsy[:, spec.n_x : spec.n_x + spec.n_s]
+    y = xsy[:, spec.n_x + spec.n_s :]
+    w = rng.standard_normal((n_samples, spec.n_x)) @ symmetric_sqrt(channel.q_w)
+    sq_err = np.sum((x - (s @ channel.h.T + y @ channel.g.T + w)) ** 2, axis=1)
+    return float(np.mean(sq_err)), float(np.std(sq_err, ddof=1) / math.sqrt(n_samples))
 
 
 @pytest.fixture

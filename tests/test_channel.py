@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from remoterdf.channel import (
+    _CHUNK_ROWS,
     build_channel,
     distortion_covariance,
     joint_with_reproduction,
@@ -22,7 +24,7 @@ from remoterdf.errors import (
 from remoterdf.oracle import wyner_scalar_rdf
 from remoterdf.waterfill import distortion_range, solve_waterfill, spectral_setup
 
-from conftest import random_feasible_spec, wyner_spec
+from conftest import generated_spec, random_feasible_spec, simulate_whole_array, wyner_spec
 
 
 def channel_at(spec, delta_or_sigma):
@@ -277,3 +279,42 @@ class TestSimulateChannel:
         ch = channel_at(spec, 0.5)
         sim = simulate_channel(spec, ch, n_samples=200_000, seed=13)
         assert abs(sim.empirical_distortion - 0.5) < 4 * sim.standard_error
+
+    @pytest.mark.parametrize(
+        "n_samples", [2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("frac", [0.4, 1.2])
+    def test_chunks_reproduce_whole_array_draws(self, n, n_samples, frac):
+        # frac 1.2 puts the distortion above its upper end: H = 0 and Q_W = 0.
+        spec = generated_spec(np.random.default_rng(40 + n), n, 2)
+        ch, _ = waterfill_channel(spec, frac)
+        if frac > 1:
+            assert not ch.h.any() and not ch.q_w.any()
+        self.assert_same_draws(spec, ch, n_samples, seed=n_samples)
+
+    @pytest.mark.parametrize("n_samples", [2, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5])
+    def test_chunks_reproduce_whole_array_draws_singular_joint(self, n_samples):
+        spec = wyner_spec(1.0)
+        self.assert_same_draws(spec, channel_at(spec, 0.5), n_samples, seed=4)
+
+    @staticmethod
+    def assert_same_draws(spec, ch, n_samples, seed):
+        sim = simulate_channel(spec, ch, n_samples=n_samples, seed=seed)
+        mean, se = simulate_whole_array(spec, ch, n_samples, seed)
+        assert sim.empirical_distortion == pytest.approx(mean, rel=1e-12, abs=0)
+        assert sim.standard_error == pytest.approx(se, rel=1e-12, abs=0)
+
+    def test_memory_is_bounded_for_large_sample_counts(self):
+        # The samples are drawn and reduced in chunks, so the working arrays
+        # do not grow with their number (drawn at once, this peaks near 328 MiB).
+        spec = generated_spec(np.random.default_rng(48), 8, 2)
+        ch, _ = waterfill_channel(spec, 0.4)
+        tracemalloc.start()
+        try:
+            sim = simulate_channel(spec, ch, n_samples=10**6, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(sim.empirical_distortion - np.trace(ch.sigma_delta)) < 4 * sim.standard_error
+        assert peak < 16 * 2**20

@@ -68,6 +68,11 @@ class TestClassicalScalar:
         res = classical_scalar_rdf(2.0, 1.0)
         assert res.rate == pytest.approx(0.5 * math.log(2.0), abs=1e-15)
 
+    def test_zero_variance_allowed(self):
+        res = classical_scalar_rdf(0.0, 0.5)
+        assert res.rate == 0.0
+        assert res.params["reproduction_variance"] == 0.0
+
 
 class TestRemark3:
     def test_midpoint_row(self):
@@ -115,6 +120,15 @@ class TestRemark3:
             remark3_discrepancy(q, [0.5])
         with pytest.raises(ValueError, match="finite"):
             wyner_scalar_rdf(q, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            classical_scalar_rdf(q, 0.5)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_rejects_non_finite_distortion(self, delta):
+        with pytest.raises(ValueError, match="finite"):
+            wyner_scalar_rdf(1.0, delta)
+        with pytest.raises(ValueError, match="finite"):
+            classical_scalar_rdf(1.0, delta)
 
 
 class TestBruteForce:
