@@ -12,9 +12,9 @@ Outputs are CSV (default for curve/remark3) or JSON (default otherwise);
 numeric CSV fields carry 17 significant digits so parsing the output recovers
 the records exactly.  `--bits` reports the headline rate of channel and
 oracle in bits; on curve it only sets the JSON `rate_unit` label.  Exit
-codes: 0 success, 1 bad input or infeasible request (usage errors and
-non-finite grid bounds included), 2 at least one curve point failed,
-3 verification failed.
+codes: 0 success, 1 bad input or infeasible request (usage errors,
+non-finite grid bounds and `verify --samples` below MIN_SAMPLES included),
+2 at least one curve point failed, 3 verification failed.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ from .specfile import load_spec_file
 from .waterfill import distortion_range, rdf_curve, solve_waterfill, spectral_setup
 
 LN2 = math.log(2.0)
+# Fewest Monte Carlo samples `verify` accepts.  Its check is judged against
+# the standard error estimated from the same draw, which is itself noisy at
+# small sample counts: at 2 samples correct channels fail about 30% of seeds.
+MIN_SAMPLES = 1000
 
 CURVE_HEADER = "delta,rate_nats,rate_bits,xi,active_count,feasible,error"
 REMARK3_HEADER = (
@@ -216,6 +220,8 @@ def cmd_channel(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < MIN_SAMPLES:
+        raise ValueError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
     loaded = load_spec_file(args.spec)
     spec = loaded.spec
     stats, _, sol = _solve(spec, args.delta)
@@ -327,6 +333,15 @@ def _add_format(parser, default: str) -> None:
     )
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of --seed, so a negative seed is a usage error naming the
+    option rather than numpy's refusal inside the generator."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, as bad input does: exit 2 means a curve point failed."""
 
@@ -363,8 +378,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="structural residuals + Monte Carlo check")
     verify.add_argument("spec", help="source-spec JSON file")
     verify.add_argument("--delta", type=float, required=True)
-    verify.add_argument("--samples", type=int, default=100_000)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--samples", type=int, default=100_000,
+                        help=f"Monte Carlo samples, at least {MIN_SAMPLES} (default: 100000)")
+    verify.add_argument("--seed", type=non_negative_int, default=0,
+                        help="non-negative Monte Carlo seed (default: 0)")
     _add_format(verify, default="json")
     verify.set_defaults(handler=cmd_verify)
 

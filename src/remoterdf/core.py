@@ -202,8 +202,11 @@ def symmetric_sqrt(m: np.ndarray) -> np.ndarray:
     Eigenvalues below the PSD tolerance are clamped to zero before rooting,
     so nearly singular inputs root cleanly.
     """
-    m = np.asarray(m, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(symmetrize(m))
+    return sqrt_from_eigh(*np.linalg.eigh(symmetrize(np.asarray(m, dtype=float))))
+
+
+def sqrt_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """`symmetric_sqrt(m)`, bit for bit, from `np.linalg.eigh(symmetrize(m))`."""
     tol = psd_tolerance(float(eigvals[-1])) if eigvals.size else 0.0
     if eigvals.size and float(eigvals[0]) < -tol:
         raise NotPSDError(float(eigvals[0]), tol)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .core import (
     ConditionalStats,
     GaussianSourceSpec,
     conditional_stats,
-    symmetric_sqrt,
+    sqrt_from_eigh,
     symmetrize,
 )
 from .errors import BelowRangeError, HypothesisViolatedError
@@ -66,8 +67,9 @@ class SpectralSetup:
 
     `u` and `d` are the right singular vectors and singular values of
     Q_{S|Y}^{1/2} Q_{X,S|Y}^{-1}.  Columns of `u` are permuted with `d` and
-    sign-fixed so the largest-magnitude entry of each is positive; `active`
-    indexes the nonzero singular values and `d_sq` holds their squares.
+    sign-fixed so the first largest-magnitude entry of each is positive;
+    `active` indexes the nonzero singular values and `d_sq` holds their
+    squares.
     `q_x_given_y`, its trace (delta_plus) and `delta_min` are carried so
     that solving at any distortion needs no further conditional statistics.
     """
@@ -100,8 +102,10 @@ class WaterfillSolution:
         return int(np.count_nonzero(self.lam > 0.0))
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
+    """One curve point; an immutable named tuple, so it also equals the plain
+    tuple of its fields.  Rate, xi and active_count are None when not feasible."""
+
     delta: float
     rate: float | None
     xi: float | None
@@ -132,19 +136,19 @@ def spectral_setup(spec: GaussianSourceSpec, stats: ConditionalStats) -> Spectra
     cross_sv = np.linalg.svd(stats.q_xs_given_y, compute_uv=False)
     if float(cross_sv[-1]) <= INV_TOL:
         raise HypothesisViolatedError("Q_{X,S|Y} invertible", float(cross_sv[-1]))
-    for name, m in [("Q_{S|Y} > 0", stats.q_s_given_y), ("Q_{X|Y} > 0", stats.q_x_given_y)]:
-        low = float(np.min(np.linalg.eigvalsh(m)))
+    # One eigendecomposition of Q_{S|Y} serves both its check and its root.
+    eigvals_s, eigvecs_s = np.linalg.eigh(symmetrize(stats.q_s_given_y))
+    lows = [eigvals_s[0], np.linalg.eigvalsh(stats.q_x_given_y)[0]]
+    for name, low in zip(["Q_{S|Y} > 0", "Q_{X|Y} > 0"], lows):
         if low <= INV_TOL:
-            raise HypothesisViolatedError(name, low)
+            raise HypothesisViolatedError(name, float(low))
 
-    root_s = symmetric_sqrt(stats.q_s_given_y)
+    root_s = sqrt_from_eigh(eigvals_s, eigvecs_s)
     _, d_desc, ut_desc = np.linalg.svd(np.linalg.solve(stats.q_xs_given_y.T, root_s).T)
     d = d_desc[::-1].copy()
     u = ut_desc[::-1, :].T.copy()
-    for i in range(d.size):
-        lead = int(np.argmax(np.abs(u[:, i])))
-        if u[lead, i] < 0.0:
-            u[:, i] = -u[:, i]
+    lead = np.argmax(np.abs(u), axis=0)
+    u *= np.where(u[lead, np.arange(d.size)] < 0.0, -1.0, 1.0)
     active = np.flatnonzero(d > RANK_TOL * (d[-1] if d.size else 0.0))
     d_sq = d[active] ** 2
     trace_xy = float(np.trace(stats.q_x_given_y))
@@ -301,13 +305,9 @@ def rdf_curve(spec: GaussianSourceSpec, deltas) -> RdfCurve:
         xi[block], _, rate[block], count[block] = _water_levels(
             setup.d_sq, setup.trace_xy, grid[block]
         )
-    points = []
-    columns = (grid, feasible, finite, rate, xi, count)
-    for delta, ok, is_finite, r, x, c in zip(*(col.tolist() for col in columns)):
-        if ok:
-            point = CurvePoint(delta, r, x, c, feasible=True, error="")
-        else:
-            error = "below_range" if is_finite else "non_finite"
-            point = CurvePoint(delta, None, None, None, feasible=False, error=error)
-        points.append(point)
-    return RdfCurve(points=points)
+    columns = [col.tolist() for col in (grid, rate, xi, count, feasible)]
+    columns.append([""] * grid.size)
+    for i in np.flatnonzero(~feasible).tolist():
+        columns[1][i] = columns[2][i] = columns[3][i] = None
+        columns[5][i] = "below_range" if finite[i] else "non_finite"
+    return RdfCurve(points=list(map(CurvePoint._make, zip(*columns))))

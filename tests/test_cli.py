@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from remoterdf.channel import build_channel
-from remoterdf.cli import CURVE_HEADER, REMARK3_HEADER, main, parse_curve_csv
+from remoterdf.cli import CURVE_HEADER, MIN_SAMPLES, REMARK3_HEADER, main, parse_curve_csv
 
 from conftest import SCALAR_Q, random_feasible_spec
 
@@ -235,6 +235,32 @@ class TestVerify:
     def test_too_few_samples_exit_1(self, capsys, spec_path):
         code, _, err = run(capsys, ["verify", spec_path, "--delta", "0.375", "--samples", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("samples", [2, MIN_SAMPLES - 1])
+    def test_samples_below_minimum_refused_not_judged(self, capsys, spec_path, samples):
+        # At 2 samples the estimated standard error is so noisy that this
+        # correct channel fails its Monte Carlo check (exit 3) on about 30%
+        # of seeds; such a count is refused as bad input instead.
+        argv = ["verify", spec_path, "--delta", "0.375", "--samples", str(samples)]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "--samples" in err and str(MIN_SAMPLES) in err
+
+    def test_minimum_samples_accepted(self, capsys, spec_path):
+        argv = ["verify", spec_path, "--delta", "0.375", "--samples", str(MIN_SAMPLES)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["n_samples"] == MIN_SAMPLES
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_is_a_usage_error_naming_the_option(self, capsys, spec_path, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", spec_path, "--delta", "0.375", "--seed", seed])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in captured.err
 
     def test_csv_format(self, capsys, spec_path):
         code, out, _ = run(

@@ -9,10 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import remoterdf.waterfill
-from remoterdf.core import conditional_stats, symmetric_sqrt, validate_spec
+from remoterdf.core import (
+    INV_TOL,
+    RANK_TOL,
+    conditional_stats,
+    psd_tolerance,
+    sqrt_from_eigh,
+    symmetric_sqrt,
+    symmetrize,
+    validate_spec,
+)
 from remoterdf.errors import BelowRangeError, HypothesisViolatedError
 from remoterdf.oracle import OracleResolution, brute_force_rdf
 from remoterdf.waterfill import (
+    CurvePoint,
     _water_levels,
     distortion_range,
     rdf_curve,
@@ -21,6 +31,7 @@ from remoterdf.waterfill import (
 )
 
 from conftest import generated_spec, q_x_given_sy, ulps_from, wyner_spec
+from test_oracle import isotropic_spec
 
 
 def make_setup(spec):
@@ -41,6 +52,54 @@ def diag_block_spec():
     q[:2, 2:4] = q[2:4, :2] = np.diag([0.5, 0.25])
     q[4, 4] = 1.0
     return validate_spec(q, (2, 2, 1))
+
+
+def blocks_spec(q_s, cross):
+    """2x2 blocks with Q_{X|Y} = I, the given Q_{S|Y} and Q_{X,S|Y}, and Y
+    independent of (X, S)."""
+    q = np.zeros((5, 5))
+    q[:2, :2] = np.eye(2)
+    q[2:4, 2:4] = q_s
+    q[:2, 2:4] = cross
+    q[2:4, :2] = np.asarray(cross).T
+    q[4, 4] = 1.0
+    return validate_spec(q, (2, 2, 1))
+
+
+def reference_reduction(stats):
+    """(u, d, active, d_sq, delta_min) by a longer route kept as a bitwise
+    reference: `eigvalsh` for both positivity checks, a second `eigh` of
+    Q_{S|Y} for its root (the clamp-and-root of `symmetric_sqrt`, written
+    out), and a per-column loop for the singular-vector signs."""
+    for name, m in [("Q_{S|Y} > 0", stats.q_s_given_y), ("Q_{X|Y} > 0", stats.q_x_given_y)]:
+        low = float(np.min(np.linalg.eigvalsh(m)))
+        if low <= INV_TOL:
+            raise HypothesisViolatedError(name, low)
+    eigvals, eigvecs = np.linalg.eigh(symmetrize(stats.q_s_given_y))
+    clamped = np.where(eigvals < psd_tolerance(float(eigvals[-1])), 0.0, eigvals)
+    root_s = symmetrize((eigvecs * np.sqrt(clamped)) @ eigvecs.T)
+    _, d_desc, ut_desc = np.linalg.svd(np.linalg.solve(stats.q_xs_given_y.T, root_s).T)
+    d = d_desc[::-1].copy()
+    u = ut_desc[::-1, :].T.copy()
+    for i in range(d.size):
+        lead = int(np.argmax(np.abs(u[:, i])))
+        if u[lead, i] < 0.0:
+            u[:, i] = -u[:, i]
+    active = np.flatnonzero(d > RANK_TOL * d[-1])
+    d_sq = d[active] ** 2
+    return u, d, active, d_sq, float(np.trace(stats.q_x_given_y)) - float(np.sum(1.0 / d_sq))
+
+
+def assert_matches_reference(spec):
+    stats = conditional_stats(spec)
+    setup = spectral_setup(spec, stats)
+    u, d, active, d_sq, delta_min = reference_reduction(stats)
+    assert np.array_equal(setup.u, u)
+    assert np.array_equal(setup.d, d)
+    assert np.array_equal(setup.active, active)
+    assert np.array_equal(setup.d_sq, d_sq)
+    assert setup.delta_min == delta_min
+    return setup
 
 
 class TestSpectralSetup:
@@ -90,6 +149,58 @@ class TestSpectralSetup:
         spec = validate_spec(np.diag([1.0, 1.0, 1.0]), (1, 1, 1))
         with pytest.raises(HypothesisViolatedError):
             make_setup(spec)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 8, 33, 64]), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_reference_reduction(self, n, seed):
+        # One eigendecomposition of Q_{S|Y} serves its check and its root,
+        # and the signs are fixed for all columns at once; neither may move
+        # a bit of the reduction.
+        assert_matches_reference(generated_spec(np.random.default_rng(seed), n, max(1, n // 4)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            isotropic_spec,
+            diag_block_spec,
+            lambda: wyner_spec(1.0),
+            # Right singular vectors (1, 1)/sqrt2 and (1, -1)/sqrt2: the
+            # entries of |u| tie exactly, and the first one leads.
+            lambda: blocks_spec(np.eye(2), [[0.5, 0.25], [0.25, 0.5]]),
+        ],
+        ids=["isotropic", "diag-block", "wyner", "tied-lead"],
+    )
+    def test_bitwise_equal_to_reference_on_fixed_specs(self, make):
+        assert_matches_reference(make())
+
+    def test_tied_lead_keeps_the_first_entry_positive(self):
+        setup = make_setup(blocks_spec(np.eye(2), [[0.5, 0.25], [0.25, 0.5]]))
+        assert np.abs(setup.u[0]).tolist() == np.abs(setup.u[1]).tolist()
+        assert np.all(setup.u[0] > 0.0)
+
+    @pytest.mark.parametrize("low", [0.0, 1e-12, INV_TOL])
+    def test_q_s_given_y_at_or_below_inv_tol_refused(self, low):
+        # Q_{X,S|Y} = diag(0.5, 1e-7) stays invertible, so the Q_{S|Y} check
+        # is the one that refuses.
+        spec = blocks_spec(np.diag([1.0, low]), np.diag([0.5, 1e-7]))
+        with pytest.raises(HypothesisViolatedError) as exc:
+            make_setup(spec)
+        assert exc.value.hypothesis == "Q_{S|Y} > 0"
+        assert exc.value.value == low
+
+    def test_eigenvalue_under_psd_tolerance_is_clamped(self):
+        # Q_{S|Y} has eigenvalues 1e3 and 1e-8: it passes the INV_TOL check
+        # but its small eigenvalue is under psd_tolerance(1e3) = 1e-6, so the
+        # root clamps it to zero and that component drops out of `active`.
+        c, s = math.cos(0.3), math.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        spec = blocks_spec((rot * [1e3, 1e-8]) @ rot.T, np.diag([1.0, 1e-5]) @ rot.T)
+        q_s = conditional_stats(spec).q_s_given_y
+        eigvals, eigvecs = np.linalg.eigh(symmetrize(q_s))
+        assert INV_TOL < eigvals[0] < psd_tolerance(float(eigvals[-1]))
+        assert np.array_equal(sqrt_from_eigh(eigvals, eigvecs), symmetric_sqrt(q_s))
+        setup = assert_matches_reference(spec)
+        assert setup.active.tolist() == [1]
 
 
 class TestDistortionRange:
@@ -277,6 +388,29 @@ class TestRdfCurve:
             assert all(r2 <= r1 + 1e-12 for r1, r2 in zip(rates, rates[1:]))
             second = np.diff(rates, 2)
             assert np.min(second) >= -1e-8
+
+    def test_point_contract(self, scalar_spec):
+        # Six named fields in this order, read by name, immutable, with a
+        # keyword repr; as a named tuple a point equals the tuple of its fields.
+        below, point = rdf_curve(scalar_spec, [0.2, 0.375]).points
+        assert CurvePoint._fields == ("delta", "rate", "xi", "active_count", "feasible", "error")
+        assert isinstance(point, CurvePoint)
+        assert (point.delta, point.active_count, point.feasible, point.error) == (
+            0.375, 1, True, "")
+        assert type(point.rate) is float and type(point.xi) is float
+        assert type(point.active_count) is int
+        assert point == (0.375, point.rate, point.xi, 1, True, "")
+        assert below == (0.2, None, None, None, False, "below_range")
+        with pytest.raises(AttributeError):
+            point.rate = 0.0
+        assert repr(below) == (
+            "CurvePoint(delta=0.2, rate=None, xi=None, active_count=None, "
+            "feasible=False, error='below_range')"
+        )
+        assert repr(point) == (
+            f"CurvePoint(delta=0.375, rate={point.rate!r}, xi={point.xi!r}, "
+            "active_count=1, feasible=True, error='')"
+        )
 
     def test_input_validation(self, scalar_spec):
         with pytest.raises(ValueError):
