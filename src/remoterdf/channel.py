@@ -120,7 +120,7 @@ def build_channel(
     DimensionUnsupportedError
         n_x != n_s (the construction needs a square cross-covariance).
     InfeasibleSigmaError
-        sigma_delta not symmetric, not PSD, or exceeding Q_{X|Y}.
+        sigma_delta not finite, not symmetric, not PSD, or exceeding Q_{X|Y}.
     SingularCrossError
         Q_{X,S|Y} not invertible.
     NegativeNoiseError
@@ -138,6 +138,8 @@ def build_channel(
             f"distortion covariance must have shape ({spec.n_x}, {spec.n_x}), "
             f"got {sigma.shape}"
         )
+    if not np.all(np.isfinite(sigma)):
+        raise InfeasibleSigmaError("distortion covariance contains non-finite entries")
     if np.linalg.norm(sigma - sigma.T, "fro") > 1e-9 * max(
         1.0, float(np.linalg.norm(sigma, "fro"))
     ):
@@ -215,10 +217,12 @@ def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> Structur
 
     - "x_indep_y_given_xhat": partial covariance of X and Y given X_hat.
     - "z_indep_xy_given_s": partial covariance of Z and (X, Y) given S.
-    - "cond_mean_identity": E(X|X_hat, Y) = X_hat, measured as the predictor
-      gain mismatch of X versus X_hat from Y plus the deviation of
-      cov(X, X_hat|Y) pinv(cov(X_hat|Y)) from the range projector (the
-      pseudoinverse form keeps degenerate zero-rate channels exact).
+    - "cond_mean_identity": E(X|X_hat, Y) = X_hat, measured as the covariance
+      of the error X - X_hat with (X_hat, Y).  For jointly Gaussian zero-mean
+      variables the two are equivalent (orthogonality principle): an
+      uncorrelated error is independent of (X_hat, Y), so E(X|X_hat, Y) =
+      X_hat, and a conditional mean always leaves such an error.  No inverse
+      is taken, so zero-rate channels (Cov(X_hat|Y) pure round-off) stay exact.
     - "posterior_cov_match": Q_{S|Z,Y} versus Q_{S|X_hat,Y}.
     - "reproduction_cov_match": Q_{Z|Y} versus Q_{X_hat|Y}.
 
@@ -237,23 +241,15 @@ def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> Structur
     r_markov = float(np.linalg.norm(partial, "fro"))
 
     # (ii) Z = H S + W independent of (X, Y) given S.
-    c_z_rest = channel.h @ np.hstack([joint[ss, sx], joint[ss, sy]])
-    c_z_s = channel.h @ spec.q_s
     c_s_rest = np.hstack([joint[ss, sx], joint[ss, sy]])
+    c_z_rest = channel.h @ c_s_rest
+    c_z_s = channel.h @ spec.q_s
     partial_z = c_z_rest - c_z_s @ pseudo_inverse(spec.q_s) @ c_s_rest
     r_zgs = float(np.linalg.norm(partial_z, "fro"))
 
-    # (iii) Conditional-mean identity.
-    gain_gap = np.linalg.solve(q_y, (joint[sx, sy] - joint[sxh, sy]).T).T
-    c_x_xhat_y = joint[sx, sxh] - joint[sx, sy] @ np.linalg.solve(q_y, joint[sy, sxh])
-    c_xhat_y = symmetrize(
-        q_xhat - joint[sxh, sy] @ np.linalg.solve(q_y, joint[sy, sxh])
-    )
-    pinv_cxh = pseudo_inverse(c_xhat_y)
-    projector = c_xhat_y @ pinv_cxh
-    r_cond_mean = float(np.linalg.norm(gain_gap, "fro")) + float(
-        np.linalg.norm(c_x_xhat_y @ pinv_cxh - projector, "fro")
-    )
+    # (iii) Conditional mean: Cov(X - X_hat, (Y, X_hat)), the joint's last columns.
+    tail = slice(spec.n_x + spec.n_s, None)
+    r_cond_mean = float(np.linalg.norm(joint[sx, tail] - joint[sxh, tail], "fro"))
 
     # (iv) Equality of the conditional covariances through Z and through X_hat.
     q_z = symmetrize(channel.h @ spec.q_s @ channel.h.T + channel.q_w)
@@ -268,7 +264,7 @@ def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> Structur
     r_posterior = float(np.linalg.norm(q_s_given_zy - q_s_given_xhy, "fro"))
 
     q_z_given_y = q_z - c_zy @ np.linalg.solve(q_y, c_zy.T)
-    q_xh_given_y = c_xhat_y
+    q_xh_given_y = symmetrize(q_xhat - joint[sxh, sy] @ np.linalg.solve(q_y, joint[sy, sxh]))
     r_reproduction = float(np.linalg.norm(q_z_given_y - q_xh_given_y, "fro"))
 
     return StructuralReport(

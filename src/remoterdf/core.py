@@ -214,16 +214,16 @@ def sqrt_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
     return symmetrize((eigvecs * np.sqrt(clamped)) @ eigvecs.T)
 
 
-def pseudo_inverse(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def pseudo_inverse(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below rank_tol * sigma_max are treated as exact zeros.
+    Singular values below RANK_TOL * sigma_max are treated as exact zeros.
     """
     m = np.asarray(m, dtype=float)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros_like(m.T)
-    inv_s = np.where(s > rank_tol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    inv_s = np.where(s > RANK_TOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return (vt.T * inv_s) @ u.T
 
 

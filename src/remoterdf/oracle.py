@@ -186,6 +186,8 @@ def brute_force_rdf(
     ------
     DimensionUnsupportedError
         n_x != n_s or n_x not in {1, 2}.
+    ValueError
+        delta not finite and positive, or a resolution below the minimum.
     HypothesisViolatedError
         Q_{X,S|Y} not invertible (smallest singular value <= INV_TOL).
     ResolutionTooCoarseError
@@ -195,6 +197,7 @@ def brute_force_rdf(
         raise DimensionUnsupportedError(
             f"brute force supports n_x = n_s in {{1, 2}}, got ({spec.n_x}, {spec.n_s})"
         )
+    _check_distortion(delta)
     res = resolution or OracleResolution()
     if res.eig_points < 2 or res.angle_points < 1:
         raise ValueError("resolution must have at least 2 eigenvalue and 1 angle point")

@@ -4,9 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remoterdf.channel import (
     _CHUNK_ROWS,
+    STRUCT_TOL,
     build_channel,
     distortion_covariance,
     joint_with_reproduction,
@@ -93,6 +96,16 @@ class TestBuildChannel:
         with pytest.raises(InfeasibleSigmaError):
             build_channel(spec2, conditional_stats(spec2), np.array([[0.1, 0.05], [0.0, 0.1]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, scalar_spec, bad):
+        with pytest.raises(InfeasibleSigmaError, match="non-finite"):
+            channel_at(scalar_spec, bad)
+        spec2 = generated_spec(np.random.default_rng(55), 2, 1)
+        sigma = np.diag([0.1, 0.1])
+        sigma[1, 0] = sigma[0, 1] = bad
+        with pytest.raises(InfeasibleSigmaError, match="non-finite"):
+            build_channel(spec2, conditional_stats(spec2), sigma)
+
     def test_negative_noise_rejected(self, scalar_spec):
         # Sigma below the remote-sensing floor Q_{X|S,Y} = 0.25.
         with pytest.raises(NegativeNoiseError):
@@ -164,9 +177,10 @@ class TestVerifyStructure:
         assert report.max_residual < 1e-12
         assert report.all_pass
 
-    def test_perturbed_gain_detected(self, scalar_spec):
+    @pytest.mark.parametrize("gain", ["h", "g"])
+    def test_perturbed_gain_detected(self, scalar_spec, gain):
         ch = channel_at(scalar_spec, 0.375)
-        bad = dataclasses.replace(ch, h=ch.h + 0.1)
+        bad = dataclasses.replace(ch, **{gain: getattr(ch, gain) + 0.1})
         report = verify_structure(scalar_spec, bad)
         assert report.residuals["cond_mean_identity"] > 0.01
         assert not report.all_pass
@@ -184,6 +198,47 @@ class TestVerifyStructure:
                 ch, _ = waterfill_channel(spec, frac)
                 report = verify_structure(spec, ch)
                 assert report.max_residual < 1e-8, report.residuals
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([2, 4, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        frac=st.floats(1.05, 2.0),
+    )
+    def test_zero_rate_channels_pass(self, n, seed, frac):
+        # Above delta_plus, Cov(X_hat|Y) is pure round-off; no residual may
+        # depend on inverting it.
+        spec = generated_spec(np.random.default_rng(seed), n, max(1, n // 4))
+        ch, sol = waterfill_channel(spec, frac)
+        assert sol.above_range
+        report = verify_structure(spec, ch)
+        assert report.all_pass, report.residuals
+        assert all(value < STRUCT_TOL for value in report.residuals.values())
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(n=st.sampled_from([1, 2, 4, 8]), seed=st.integers(0, 2**32 - 1))
+    def test_channels_pass_at_every_active_count(self, n, seed):
+        # With c = 1/d^2 descending and C_k the sum of its first k entries,
+        # k components are active for targets trace_xy - delta between the
+        # breakpoint totals C_k - k c_k and C_{k+1} - (k+1) c_{k+1} (C_n for
+        # k = n, the delta_min limit).  Solve just inside both ends of every
+        # interval, and just above delta_plus for k = 0.
+        spec = generated_spec(np.random.default_rng(seed), n, max(1, n // 4))
+        stats = conditional_stats(spec)
+        setup = spectral_setup(spec, stats)
+        c = 1.0 / setup.d_sq
+        cum = np.cumsum(c)
+        totals = np.append(cum - np.arange(1, n + 1) * c, cum[-1])
+        targets = [(1 - 1e-3) * a + 1e-3 * b for a, b in zip(totals[:-1], totals[1:])]
+        targets += [1e-3 * a + (1 - 1e-3) * b for a, b in zip(totals[:-1], totals[1:])]
+        deltas = [setup.trace_xy - t for t in targets] + [setup.trace_xy * (1 + 1e-9)]
+        counts = set()
+        for delta in deltas:
+            sol = solve_waterfill(spec, setup, delta)
+            report = verify_structure(spec, build_channel(spec, stats, sol.sigma_delta))
+            assert report.all_pass, (sol.active_count, report.residuals)
+            counts.add(sol.active_count)
+        assert counts == set(range(n + 1))
 
     def test_weak_cross_covariance_is_solved(self):
         # Q_{X,S|Y} = c = 1e-6 is invertible and Q_{S|Y} = 1, so the paper's

@@ -9,8 +9,9 @@ import pytest
 
 from remoterdf.channel import build_channel
 from remoterdf.cli import CURVE_HEADER, MIN_SAMPLES, REMARK3_HEADER, main, parse_curve_csv
+from remoterdf.core import conditional_stats
 
-from conftest import SCALAR_Q, random_feasible_spec
+from conftest import SCALAR_Q, generated_spec, random_feasible_spec
 
 
 @pytest.fixture
@@ -222,6 +223,20 @@ class TestVerify:
         )
         assert code == 3
         assert json.loads(out)["verdict"] == "fail"
+
+    def test_zero_rate_channel_passes(self, capsys, tmp_path):
+        # Above delta_plus the channel sends nothing and X_hat = E(X|Y).
+        spec = generated_spec(np.random.default_rng(1), 4, 1)
+        path = tmp_path / "n4.json"
+        path.write_text(
+            json.dumps({"dims": {"n_x": 4, "n_s": 4, "n_y": 1}, "covariance": spec.q.tolist()}),
+            encoding="utf-8",
+        )
+        delta = 1.5 * float(np.trace(conditional_stats(spec).q_x_given_y))
+        argv = ["verify", str(path), "--delta", repr(delta), "--samples", "10000"]
+        code, out, _ = run(capsys, argv)
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (0, "pass"), doc["analytic"]["residuals"]
 
     def test_infeasible_delta_exit_1(self, capsys, spec_path):
         code, _, err = run(capsys, ["verify", spec_path, "--delta", "0.2"])

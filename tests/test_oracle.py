@@ -166,6 +166,11 @@ class TestBruteForce:
         assert refusal.value.hypothesis == "Q_{X,S|Y} must be invertible"
         assert refusal.value.value == pytest.approx(cross[-1], abs=1e-15)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_invalid_distortion_refused(self, scalar_spec, delta):
+        with pytest.raises(ValueError, match="distortion must be"):
+            brute_force_rdf(scalar_spec, delta)
+
     def test_resolution_too_coarse(self, scalar_spec):
         with pytest.raises(ResolutionTooCoarseError):
             brute_force_rdf(scalar_spec, 0.375, OracleResolution(eig_points=2))
