@@ -24,10 +24,8 @@ from .channel import (
 from .core import (
     ConditionalStats,
     GaussianSourceSpec,
-    conditional_covariance,
     conditional_stats,
     gaussian_cmi,
-    pseudo_inverse,
     symmetric_sqrt,
     validate_spec,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "brute_force_rdf",
     "build_channel",
     "classical_scalar_rdf",
-    "conditional_covariance",
     "conditional_stats",
     "distortion_covariance",
     "distortion_range",
@@ -84,7 +81,6 @@ __all__ = [
     "joint_with_reproduction",
     "load_spec_file",
     "parse_spec_document",
-    "pseudo_inverse",
     "rate_of_channel",
     "rdf_curve",
     "remark3_discrepancy",

@@ -4,7 +4,7 @@ Subcommands:
 
     curve    sweep the rate-distortion curve over a distortion grid
     channel  synthesize the optimal test channel at one distortion
-    verify   analytic structural residuals plus a Monte Carlo distortion check
+    verify   conditional-mean residual plus a Monte Carlo distortion check
     oracle   compare the water-filling rate against the brute-force search
     remark3  table contrasting the prior-work test channel with the correct one
 
@@ -375,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(channel, default="json")
     channel.set_defaults(handler=cmd_channel)
 
-    verify = sub.add_parser("verify", help="structural residuals + Monte Carlo check")
+    verify = sub.add_parser("verify", help="conditional-mean residual + Monte Carlo check")
     verify.add_argument("spec", help="source-spec JSON file")
     verify.add_argument("--delta", type=float, required=True)
     verify.add_argument("--samples", type=int, default=100_000,

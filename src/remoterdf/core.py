@@ -4,9 +4,8 @@ The problem instance is the joint covariance of the zero-mean Gaussian vector
 (X, S, Y): X is the source (dimension n_x), S the measurement available to the
 encoder (n_s), Y the side information (n_y).  Everything downstream is a
 function of this matrix, so this module owns validation, the conditional
-(Schur-complement) statistics given Y, PSD square roots, pseudoinverses, and
-the closed-form Gaussian conditional mutual information.  All rates are in
-nats.
+(Schur-complement) statistics given Y, PSD square roots, and the closed-form
+Gaussian conditional mutual information.  All rates are in nats.
 """
 
 from __future__ import annotations
@@ -102,8 +101,7 @@ class ConditionalStats:
     """The Schur complements given Y: Q_{X|Y}, Q_{S|Y} and Q_{X,S|Y}.
 
     The paper's hypotheses and its water-filling solution are stated in
-    these three.  Any other conditional covariance, such as Q_{X|S,Y}, comes
-    from `conditional_covariance` on the joint.
+    these three.
     """
 
     q_x_given_y: np.ndarray
@@ -180,22 +178,6 @@ def conditional_stats(spec: GaussianSourceSpec) -> ConditionalStats:
     )
 
 
-def conditional_covariance(
-    joint: np.ndarray, keep: np.ndarray | list[int], given: np.ndarray | list[int]
-) -> np.ndarray:
-    """Conditional covariance of the `keep` coordinates given the `given` ones.
-
-    Generic Schur complement with a pseudoinverse, valid for singular
-    conditioning blocks of a PSD joint covariance.
-    """
-    keep = np.asarray(keep, dtype=int)
-    given = np.asarray(given, dtype=int)
-    a = joint[np.ix_(keep, keep)]
-    b = joint[np.ix_(keep, given)]
-    c = joint[np.ix_(given, given)]
-    return symmetrize(a - b @ pseudo_inverse(c) @ b.T)
-
-
 def symmetric_sqrt(m: np.ndarray) -> np.ndarray:
     """Unique symmetric PSD square root of a symmetric PSD matrix.
 
@@ -212,19 +194,6 @@ def sqrt_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
         raise NotPSDError(float(eigvals[0]), tol)
     clamped = np.where(eigvals < tol, 0.0, eigvals)
     return symmetrize((eigvecs * np.sqrt(clamped)) @ eigvecs.T)
-
-
-def pseudo_inverse(m: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Singular values below RANK_TOL * sigma_max are treated as exact zeros.
-    """
-    m = np.asarray(m, dtype=float)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros_like(m.T)
-    inv_s = np.where(s > RANK_TOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (vt.T * inv_s) @ u.T
 
 
 def gaussian_cmi(q_prior: np.ndarray, q_posterior: np.ndarray) -> float:

@@ -4,16 +4,48 @@ import numpy as np
 import pytest
 
 from remoterdf.core import (
+    RANK_TOL,
     GaussianSourceSpec,
-    conditional_covariance,
     conditional_stats,
     symmetric_sqrt,
+    symmetrize,
     validate_spec,
 )
 from remoterdf.errors import RemoteRdfError
 
 # Canonical scalar instance used throughout: Q_{X|Y}=0.5, Q_{S|Y}=1, Q_{X,S|Y}=0.5.
 SCALAR_Q = np.array([[1.0, 1.0, 1.0], [1.0, 1.5, 1.0], [1.0, 1.0, 2.0]])
+
+
+def pseudo_inverse(m: np.ndarray) -> np.ndarray:
+    """Reference Moore-Penrose pseudoinverse via SVD.
+
+    Singular values below RANK_TOL * sigma_max are treated as exact zeros.
+    The package takes no pseudoinverse; tests use this one for conditional
+    covariances computed independently of the channel construction.
+    """
+    m = np.asarray(m, dtype=float)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    if s.size == 0 or s[0] <= 0.0:
+        return np.zeros_like(m.T)
+    inv_s = np.where(s > RANK_TOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    return (vt.T * inv_s) @ u.T
+
+
+def conditional_covariance(
+    joint: np.ndarray, keep: np.ndarray | list[int], given: np.ndarray | list[int]
+) -> np.ndarray:
+    """Reference conditional covariance of the `keep` coordinates given the `given` ones.
+
+    Generic Schur complement with a pseudoinverse, valid for singular
+    conditioning blocks of a PSD joint covariance.
+    """
+    keep = np.asarray(keep, dtype=int)
+    given = np.asarray(given, dtype=int)
+    a = joint[np.ix_(keep, keep)]
+    b = joint[np.ix_(keep, given)]
+    c = joint[np.ix_(given, given)]
+    return symmetrize(a - b @ pseudo_inverse(c) @ b.T)
 
 
 def q_x_given_sy(spec: GaussianSourceSpec) -> np.ndarray:

@@ -17,7 +17,7 @@ from remoterdf.channel import (
     simulate_channel,
     verify_structure,
 )
-from remoterdf.core import conditional_covariance, conditional_stats, gaussian_cmi
+from remoterdf.core import conditional_stats, gaussian_cmi
 from remoterdf.errors import BelowRangeError
 from remoterdf.oracle import brute_force_rdf, remark3_discrepancy
 from remoterdf.waterfill import (
@@ -29,7 +29,13 @@ from remoterdf.waterfill import (
 
 from remoterdf.core import validate_spec
 
-from conftest import SCALAR_Q, classical_spec, random_feasible_spec, wyner_spec
+from conftest import (
+    SCALAR_Q,
+    classical_spec,
+    conditional_covariance,
+    random_feasible_spec,
+    wyner_spec,
+)
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

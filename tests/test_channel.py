@@ -167,23 +167,33 @@ class TestDecoderOnlyForm:
 class TestVerifyStructure:
     def test_scalar_example_residuals_vanish(self, scalar_spec):
         report = verify_structure(scalar_spec, channel_at(scalar_spec, 0.375))
-        assert set(report.residuals) == {
-            "x_indep_y_given_xhat",
-            "z_indep_xy_given_s",
-            "cond_mean_identity",
-            "posterior_cov_match",
-            "reproduction_cov_match",
-        }
+        assert set(report.residuals) == {"cond_mean_identity"}
         assert report.max_residual < 1e-12
         assert report.all_pass
 
-    @pytest.mark.parametrize("gain", ["h", "g"])
+    @pytest.mark.parametrize("gain", ["h", "g", "q_w"])
     def test_perturbed_gain_detected(self, scalar_spec, gain):
         ch = channel_at(scalar_spec, 0.375)
         bad = dataclasses.replace(ch, **{gain: getattr(ch, gain) + 0.1})
         report = verify_structure(scalar_spec, bad)
         assert report.residuals["cond_mean_identity"] > 0.01
         assert not report.all_pass
+
+    @pytest.mark.parametrize("gain", ["h", "g", "q_w"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9, 1.2])
+    def test_perturbed_channel_detected_on_generated_specs(self, n, gain, frac):
+        # Gains moved by 0.1 N(0, 1) entries, the noise covariance by 0.1 p^T p
+        # (still PSD): every such channel must fail the conditional mean,
+        # including zero-rate ones above delta_plus (frac 1.2).
+        rng = np.random.default_rng(60 + n)
+        spec = generated_spec(rng, n, max(1, n // 4))
+        ch, _ = waterfill_channel(spec, frac)
+        m = getattr(ch, gain)
+        p = rng.standard_normal(m.shape)
+        bad = dataclasses.replace(ch, **{gain: m + 0.1 * (p.T @ p if gain == "q_w" else p)})
+        report = verify_structure(spec, bad)
+        assert not report.passes["cond_mean_identity"], report.residuals
 
     def test_zero_rate_channel_degenerate_properties_hold(self, scalar_spec):
         stats = conditional_stats(scalar_spec)
@@ -222,14 +232,17 @@ class TestVerifyStructure:
         # k components are active for targets trace_xy - delta between the
         # breakpoint totals C_k - k c_k and C_{k+1} - (k+1) c_{k+1} (C_n for
         # k = n, the delta_min limit).  Solve just inside both ends of every
-        # interval, and just above delta_plus for k = 0.
+        # interval, and just above delta_plus for k = 0.  At 1e-6 and 1e-9 of
+        # the width above its lower end the newest component is barely
+        # active, so Cov(X_hat|Y) is nearly singular in its direction.
         spec = generated_spec(np.random.default_rng(seed), n, max(1, n // 4))
         stats = conditional_stats(spec)
         setup = spectral_setup(spec, stats)
         c = 1.0 / setup.d_sq
         cum = np.cumsum(c)
         totals = np.append(cum - np.arange(1, n + 1) * c, cum[-1])
-        targets = [(1 - 1e-3) * a + 1e-3 * b for a, b in zip(totals[:-1], totals[1:])]
+        targets = [(1 - eps) * a + eps * b for eps in (1e-3, 1e-6, 1e-9)
+                   for a, b in zip(totals[:-1], totals[1:])]
         targets += [1e-3 * a + (1 - 1e-3) * b for a, b in zip(totals[:-1], totals[1:])]
         deltas = [setup.trace_xy - t for t in targets] + [setup.trace_xy * (1 + 1e-9)]
         counts = set()

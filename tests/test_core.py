@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from remoterdf.core import (
-    conditional_covariance,
     conditional_stats,
     gaussian_cmi,
-    pseudo_inverse,
     symmetric_sqrt,
     validate_spec,
 )
@@ -18,7 +16,13 @@ from remoterdf.errors import (
     SingularYError,
 )
 
-from conftest import SCALAR_Q, q_x_given_sy, random_feasible_spec
+from conftest import (
+    SCALAR_Q,
+    conditional_covariance,
+    pseudo_inverse,
+    q_x_given_sy,
+    random_feasible_spec,
+)
 
 
 def gain_from_y(spec, q_ay):
@@ -150,6 +154,8 @@ class TestSymmetricSqrt:
 
 
 class TestPseudoInverse:
+    """The test-local reference pseudoinverse that `conditional_covariance` uses."""
+
     def test_identity(self):
         assert np.allclose(pseudo_inverse(np.eye(3)), np.eye(3))
 
@@ -222,6 +228,8 @@ class TestGaussianCmi:
 
 
 class TestConditionalCovariance:
+    """The test-local reference Schur complement behind `q_x_given_sy`."""
+
     def test_matches_stats(self, scalar_spec):
         stats = conditional_stats(scalar_spec)
         got = conditional_covariance(scalar_spec.q, [0], [2])
