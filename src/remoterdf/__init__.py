@@ -25,7 +25,6 @@ from .core import (
     ConditionalStats,
     GaussianSourceSpec,
     conditional_stats,
-    gaussian_cmi,
     symmetric_sqrt,
     validate_spec,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "distortion_covariance",
     "distortion_range",
     "dump_spec_document",
-    "gaussian_cmi",
     "joint_with_reproduction",
     "load_spec_file",
     "parse_spec_document",

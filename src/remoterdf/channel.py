@@ -35,7 +35,6 @@ from .core import (
     INV_TOL,
     ConditionalStats,
     GaussianSourceSpec,
-    gaussian_cmi,
     psd_tolerance,
     symmetric_sqrt,
     symmetrize,
@@ -47,8 +46,8 @@ from .errors import (
     SingularCrossError,
 )
 
-# Absolute residual threshold for the structural check; assumes covariances
-# normalized so the largest diagonal entry of the joint is O(1).
+# Threshold for the structural residual, which is divided by the largest
+# diagonal entry of the joint covariance: rescaling an instance moves neither.
 STRUCT_TOL = 1e-8
 
 # Rows per Monte Carlo chunk: keeps each chunk's buffers near L2 size at
@@ -214,10 +213,12 @@ def distortion_covariance(spec: GaussianSourceSpec, channel: TestChannel) -> np.
 def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> StructuralReport:
     """Analytic residual of the conditional-mean identity E(X|X_hat, Y) = X_hat.
 
-    The residual "cond_mean_identity" is ||Cov(X - X_hat, (Y, X_hat))||_F,
-    read off the joint covariance induced by the channel matrices (no
-    sampling).  For jointly Gaussian zero-mean variables it vanishes exactly
-    when the identity holds (orthogonality principle): an uncorrelated error
+    The residual "cond_mean_identity" is ||Cov(X - X_hat, (Y, X_hat))||_F
+    divided by the largest diagonal entry of the joint covariance of
+    (X, S, Y), so rescaling the instance does not move it.  It is read off
+    the joint covariance induced by the channel matrices (no sampling).  For
+    jointly Gaussian zero-mean variables it vanishes exactly when the
+    identity holds (orthogonality principle): an uncorrelated error
     is independent of (X_hat, Y), so E(X|X_hat, Y) = X_hat, and a conditional
     mean always leaves such an error.  No inverse is taken, so zero-rate and
     barely active channels (Cov(X_hat|Y) nearly singular) stay exact.
@@ -234,20 +235,50 @@ def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> Structur
     sx = slice(0, spec.n_x)
     sxh = slice(spec.n_total, spec.n_total + spec.n_x)
     tail = slice(spec.n_x + spec.n_s, None)  # the (Y, X_hat) columns
-    r_cond_mean = float(np.linalg.norm(joint[sx, tail] - joint[sxh, tail], "fro"))
+    scale = float(np.max(np.diagonal(spec.q)))
+    r_cond_mean = float(np.linalg.norm(joint[sx, tail] - joint[sxh, tail], "fro")) / scale
     return StructuralReport(residuals={"cond_mean_identity": r_cond_mean})
+
+
+def _log_det(m: np.ndarray) -> float:
+    """log det of a positive definite matrix by Cholesky; LinAlgError otherwise."""
+    return 2.0 * float(np.sum(np.log(np.diagonal(np.linalg.cholesky(m)))))
+
+
+def _rate(log_det_prior: float, posterior: np.ndarray) -> float:
+    """max(0, (log_det_prior - log det posterior) / 2), or ``inf`` for a
+    posterior that is not positive definite."""
+    try:
+        return max(0.0, 0.5 * (log_det_prior - _log_det(posterior)))
+    except np.linalg.LinAlgError:
+        return math.inf
 
 
 def rate_of_channel(spec: GaussianSourceSpec, channel: TestChannel) -> ChannelRate:
     """Rate of the channel in nats, by both determinant-ratio formulas.
 
-    The measurement-side ratio uses (Q_{S|Y}, Q_{S|X_hat,Y}); the
-    reproduction-side ratio uses (Q_{X_hat|Y}, Q_W).  They agree for any
-    channel built by `build_channel`; the discrepancy is returned so callers
-    can surface disagreement.
+    Measurement side: 0.5 log det Q_{S|Y} / det Q_{S|X_hat,Y}, by Cholesky;
+    ``inf`` when the posterior is not positive definite.  A prior that is not
+    raises numpy.linalg.LinAlgError (a ValueError); no channel from
+    `build_channel` has one, as an invertible Q_{X,S|Y} forces Q_{S|Y} > 0.
+
+    Reproduction side: 0.5 log det M / det Q_W with M = Q_{X_hat|Y}, on the
+    eigenvectors of M whose eigenvalues exceed `psd_tolerance` of
+    Q_{X|Y} = Sigma + M; ``inf`` when Q_W is not positive definite there, 0
+    when there are none (empty determinants are 1).  The cut is measured
+    against Q_{X|Y}, whose scale sets the round-off in M and Q_W: just below
+    Delta+ M is tiny, and a cut at its own scale would keep directions where
+    Q_W is only round-off.
+
+    The two agree for any channel built by `build_channel`; the discrepancy
+    is returned so callers can surface disagreement.
     """
-    rate = gaussian_cmi(channel.q_s_given_y, channel.q_s_given_xhat_y)
-    rate_alt = gaussian_cmi(channel.q_xhat_given_y, channel.q_w)
+    rate = _rate(_log_det(channel.q_s_given_y), channel.q_s_given_xhat_y)
+    m_eigs, m_vecs = np.linalg.eigh(channel.q_xhat_given_y)
+    q_x_given_y = channel.sigma_delta + channel.q_xhat_given_y
+    keep = m_eigs > psd_tolerance(float(np.linalg.eigvalsh(q_x_given_y)[-1]))
+    basis = m_vecs[:, keep]
+    rate_alt = _rate(float(np.sum(np.log(m_eigs[keep]))), basis.T @ channel.q_w @ basis)
     if math.isinf(rate) and math.isinf(rate_alt):
         discrepancy = 0.0
     else:

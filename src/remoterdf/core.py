@@ -4,8 +4,7 @@ The problem instance is the joint covariance of the zero-mean Gaussian vector
 (X, S, Y): X is the source (dimension n_x), S the measurement available to the
 encoder (n_s), Y the side information (n_y).  Everything downstream is a
 function of this matrix, so this module owns validation, the conditional
-(Schur-complement) statistics given Y, PSD square roots, and the closed-form
-Gaussian conditional mutual information.  All rates are in nats.
+(Schur-complement) statistics given Y, and PSD square roots.
 """
 
 from __future__ import annotations
@@ -14,26 +13,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NotNestedError,
-    NotPSDError,
-    NotSymmetricError,
-    SingularYError,
-)
+from .errors import NotPSDError, NotSymmetricError, SingularYError
 
 # Tolerances (double precision headroom at dimensions <= 64).
 SYM_TOL_SCALE = 1e-9   # asymmetry allowance, relative to ||Q||_F
-PSD_TOL_SCALE = 1e-9   # eigenvalue floor, relative to max(largest eigenvalue, 1)
+PSD_TOL_SCALE = 1e-9   # eigenvalue floor, relative to the largest eigenvalue
 INV_TOL = 1e-10        # strictly-positive-definite threshold
 RANK_TOL = 1e-12       # singular values below RANK_TOL * sigma_max count as zero
 
 
 def psd_tolerance(largest_eigenvalue: float) -> float:
-    """Eigenvalue tolerance for PSD tests on a matrix with this largest eigenvalue.
+    """Eigenvalue tolerance for PSD tests at the scale of this largest eigenvalue.
 
-    Scale-aware above 1, absolute below it.
+    Purely relative, so rescaling an instance rescales every tolerance with
+    it.  Callers pass the largest eigenvalue of the matrix whose scale sets
+    the round-off: the matrix tested, or the instance's Q_{X|Y} when the
+    tested matrix can be tiny next to it.
     """
-    return PSD_TOL_SCALE * max(largest_eigenvalue, 1.0)
+    return PSD_TOL_SCALE * largest_eigenvalue
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -194,47 +191,3 @@ def sqrt_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
         raise NotPSDError(float(eigvals[0]), tol)
     clamped = np.where(eigvals < tol, 0.0, eigvals)
     return symmetrize((eigvecs * np.sqrt(clamped)) @ eigvecs.T)
-
-
-def gaussian_cmi(q_prior: np.ndarray, q_posterior: np.ndarray) -> float:
-    """Gaussian conditional mutual information from nested conditional covariances.
-
-    Returns 0.5 * log(det(q_prior) / det(q_posterior)) in nats, with both
-    matrices restricted to the range space of q_prior when it is singular
-    (pseudo-determinant convention).  Returns ``inf`` when the posterior is
-    singular on that range.
-
-    Raises
-    ------
-    NotNestedError
-        q_prior - q_posterior has a negative eigenvalue beyond tolerance.
-    NotPSDError
-        q_posterior has a negative eigenvalue beyond tolerance.
-    """
-    q_prior = symmetrize(np.asarray(q_prior, dtype=float))
-    q_posterior = symmetrize(np.asarray(q_posterior, dtype=float))
-    if q_prior.shape != q_posterior.shape:
-        raise ValueError("prior and posterior covariances must have the same shape")
-
-    prior_eigs, prior_vecs = np.linalg.eigh(q_prior)
-    tol = psd_tolerance(float(prior_eigs[-1])) if prior_eigs.size else 0.0
-    if prior_eigs.size and float(prior_eigs[0]) < -tol:
-        raise NotPSDError(float(prior_eigs[0]), tol, what="prior covariance")
-
-    post_min = float(np.min(np.linalg.eigvalsh(q_posterior))) if q_posterior.size else 0.0
-    if post_min < -tol:
-        raise NotPSDError(post_min, tol, what="posterior covariance")
-    gap_min = float(np.min(np.linalg.eigvalsh(q_prior - q_posterior)))
-    if gap_min < -tol:
-        raise NotNestedError(gap_min)
-
-    keep = prior_eigs > tol
-    if not np.any(keep):
-        return 0.0
-    basis = prior_vecs[:, keep]
-    log_det_prior = float(np.sum(np.log(prior_eigs[keep])))
-    post_proj_eigs = np.linalg.eigvalsh(symmetrize(basis.T @ q_posterior @ basis))
-    if float(np.min(post_proj_eigs)) <= tol:
-        return float("inf")
-    log_det_post = float(np.sum(np.log(post_proj_eigs)))
-    return max(0.0, 0.5 * (log_det_prior - log_det_post))

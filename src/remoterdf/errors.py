@@ -41,15 +41,6 @@ class SingularYError(RemoteRdfError):
         )
 
 
-class NotNestedError(RemoteRdfError):
-    def __init__(self, min_eigenvalue: float):
-        self.min_eigenvalue = min_eigenvalue
-        super().__init__(
-            "covariances are not nested (prior - posterior has eigenvalue "
-            f"{min_eigenvalue:.3e} < 0)"
-        )
-
-
 class InfeasibleSigmaError(RemoteRdfError):
     """Distortion covariance violates 0 <= Sigma <= Q_{X|Y}."""
 

@@ -11,7 +11,7 @@ from remoterdf.core import (
     symmetrize,
     validate_spec,
 )
-from remoterdf.errors import RemoteRdfError
+from remoterdf.errors import NotPSDError, RemoteRdfError
 
 # Canonical scalar instance used throughout: Q_{X|Y}=0.5, Q_{S|Y}=1, Q_{X,S|Y}=0.5.
 SCALAR_Q = np.array([[1.0, 1.0, 1.0], [1.0, 1.5, 1.0], [1.0, 1.0, 2.0]])
@@ -51,6 +51,62 @@ def conditional_covariance(
 def q_x_given_sy(spec: GaussianSourceSpec) -> np.ndarray:
     """Q_{X|S,Y}: the Schur complement of the (S, Y) block, through a pseudoinverse."""
     return conditional_covariance(spec.q, np.r_[: spec.n_x], np.r_[spec.n_x : spec.n_total])
+
+
+class NotNestedError(RemoteRdfError):
+    def __init__(self, min_eigenvalue: float):
+        self.min_eigenvalue = min_eigenvalue
+        super().__init__(
+            "covariances are not nested (prior - posterior has eigenvalue "
+            f"{min_eigenvalue:.3e} < 0)"
+        )
+
+
+def gaussian_cmi(q_prior: np.ndarray, q_posterior: np.ndarray) -> float:
+    """Reference Gaussian conditional mutual information from nested covariances.
+
+    Returns 0.5 * log(det(q_prior) / det(q_posterior)) in nats, with both
+    matrices restricted to the range space of q_prior when it is singular
+    (pseudo-determinant convention).  Returns ``inf`` when the posterior is
+    singular on that range.  Eigenvalues are floored at 1e-9 * max(largest
+    eigenvalue of q_prior, 1).  The package computes its rates by Cholesky
+    log-determinants inside `rate_of_channel`; tests use this eigenvalue
+    route as an independent reference.
+
+    Raises
+    ------
+    NotNestedError
+        q_prior - q_posterior has a negative eigenvalue beyond tolerance.
+    NotPSDError
+        q_posterior has a negative eigenvalue beyond tolerance.
+    """
+    q_prior = symmetrize(np.asarray(q_prior, dtype=float))
+    q_posterior = symmetrize(np.asarray(q_posterior, dtype=float))
+    if q_prior.shape != q_posterior.shape:
+        raise ValueError("prior and posterior covariances must have the same shape")
+
+    prior_eigs, prior_vecs = np.linalg.eigh(q_prior)
+    tol = 1e-9 * max(float(prior_eigs[-1]), 1.0) if prior_eigs.size else 0.0
+    if prior_eigs.size and float(prior_eigs[0]) < -tol:
+        raise NotPSDError(float(prior_eigs[0]), tol, what="prior covariance")
+
+    post_min = float(np.min(np.linalg.eigvalsh(q_posterior))) if q_posterior.size else 0.0
+    if post_min < -tol:
+        raise NotPSDError(post_min, tol, what="posterior covariance")
+    gap_min = float(np.min(np.linalg.eigvalsh(q_prior - q_posterior)))
+    if gap_min < -tol:
+        raise NotNestedError(gap_min)
+
+    keep = prior_eigs > tol
+    if not np.any(keep):
+        return 0.0
+    basis = prior_vecs[:, keep]
+    log_det_prior = float(np.sum(np.log(prior_eigs[keep])))
+    post_proj_eigs = np.linalg.eigvalsh(symmetrize(basis.T @ q_posterior @ basis))
+    if float(np.min(post_proj_eigs)) <= tol:
+        return float("inf")
+    log_det_post = float(np.sum(np.log(post_proj_eigs)))
+    return max(0.0, 0.5 * (log_det_prior - log_det_post))
 
 
 def simulate_whole_array(spec: GaussianSourceSpec, channel, n_samples: int, seed: int):

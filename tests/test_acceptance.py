@@ -17,7 +17,7 @@ from remoterdf.channel import (
     simulate_channel,
     verify_structure,
 )
-from remoterdf.core import conditional_stats, gaussian_cmi
+from remoterdf.core import conditional_stats
 from remoterdf.errors import BelowRangeError
 from remoterdf.oracle import brute_force_rdf, remark3_discrepancy
 from remoterdf.waterfill import (
@@ -33,6 +33,7 @@ from conftest import (
     SCALAR_Q,
     classical_spec,
     conditional_covariance,
+    gaussian_cmi,
     random_feasible_spec,
     wyner_spec,
 )

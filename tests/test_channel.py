@@ -27,7 +27,14 @@ from remoterdf.errors import (
 from remoterdf.oracle import wyner_scalar_rdf
 from remoterdf.waterfill import distortion_range, solve_waterfill, spectral_setup
 
-from conftest import generated_spec, random_feasible_spec, simulate_whole_array, wyner_spec
+from conftest import (
+    SCALAR_Q,
+    generated_spec,
+    q_x_given_sy,
+    random_feasible_spec,
+    simulate_whole_array,
+    wyner_spec,
+)
 
 
 def channel_at(spec, delta_or_sigma):
@@ -265,6 +272,52 @@ class TestVerifyStructure:
         assert verify_structure(spec, ch).all_pass
 
 
+def scaled_outcome(q, dims, c, frac):
+    """(rate, rate_alt, verdict) of the water-filling channel of c*q at fraction
+    `frac` of its finite-rate range, which scales with c."""
+    spec = validate_spec(c * np.asarray(q), dims)
+    ch, _ = waterfill_channel(spec, frac)
+    rates = rate_of_channel(spec, ch)
+    return rates.rate, rates.rate_alt, verify_structure(spec, ch).all_pass
+
+
+def fixed8_q():
+    """The fixed n = 8, n_y = 2 instance that the channel-verify benchmark
+    rescales (same draws, equal to rounding), with unit largest diagonal."""
+    q = generated_spec(np.random.default_rng(20210830), 8, 2).q
+    return q / np.max(np.diag(q))
+
+
+class TestScaleInvariance:
+    """Rescaling (Q, delta) to (cQ, c delta) moves no rate and no verdict."""
+
+    @staticmethod
+    def assert_invariant(q, dims, c, frac):
+        rate, rate_alt, verdict = scaled_outcome(q, dims, 1.0, frac)
+        scaled = scaled_outcome(q, dims, c, frac)
+        assert scaled[:2] == pytest.approx((rate, rate_alt), rel=1e-9)
+        assert verdict and scaled[2]
+
+    @pytest.mark.parametrize("c", [1e8, 1e-8, 1e-9])
+    def test_readme_spec(self, c):
+        self.assert_invariant(SCALAR_Q, (1, 1, 1), c, 0.5)
+
+    @pytest.mark.parametrize("c", [1e8, 1e-8])
+    def test_fixed_n8_instance(self, c):
+        self.assert_invariant(fixed8_q(), (8, 8, 2), c, 0.5)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        frac=st.floats(0.05, 0.95),
+        log10_c=st.floats(-9.0, 8.0),
+    )
+    def test_generated_specs(self, n, seed, frac, log10_c):
+        spec = generated_spec(np.random.default_rng(seed), n, max(1, n // 4))
+        self.assert_invariant(spec.q, (n, n, max(1, n // 4)), 10.0**log10_c, frac)
+
+
 class TestRateOfChannel:
     def test_scalar_example_both_formulas(self, scalar_spec):
         rates = rate_of_channel(scalar_spec, channel_at(scalar_spec, 0.375))
@@ -277,6 +330,26 @@ class TestRateOfChannel:
         rates = rate_of_channel(scalar_spec, channel_at(scalar_spec, stats.q_x_given_y))
         assert rates.rate == 0.0
         assert rates.rate_alt == 0.0
+
+    @pytest.mark.parametrize("c", [1.0, 1e-6])
+    def test_noise_floor_channel_is_infinite(self, c):
+        # At Sigma = Q_{X|S,Y} the posterior Q_{S|X_hat,Y} and the noise Q_W
+        # are both singular.
+        spec = validate_spec(c * SCALAR_Q, (1, 1, 1))
+        rates = rate_of_channel(spec, channel_at(spec, q_x_given_sy(spec)))
+        assert rates.rate == math.inf
+        assert rates.rate_alt == math.inf
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_rate_near_lower_boundary_is_finite(self, n):
+        # At 1e-9 of the range above delta_min the rate is tens of nats and
+        # the posterior's small eigenvalues are far below 1e-9; both formulas
+        # must still match water-filling, not report a singular posterior.
+        spec = generated_spec(np.random.default_rng(5), n, max(1, n // 4))
+        ch, sol = waterfill_channel(spec, 1e-9)
+        rates = rate_of_channel(spec, ch)
+        assert rates.rate == pytest.approx(sol.rate, rel=1e-6)
+        assert rates.rate_alt == pytest.approx(sol.rate, rel=1e-6)
 
     def test_wyner_oracle_agreement(self):
         q = 1.0

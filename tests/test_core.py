@@ -5,12 +5,10 @@ import pytest
 
 from remoterdf.core import (
     conditional_stats,
-    gaussian_cmi,
     symmetric_sqrt,
     validate_spec,
 )
 from remoterdf.errors import (
-    NotNestedError,
     NotPSDError,
     NotSymmetricError,
     SingularYError,
@@ -18,7 +16,9 @@ from remoterdf.errors import (
 
 from conftest import (
     SCALAR_Q,
+    NotNestedError,
     conditional_covariance,
+    gaussian_cmi,
     pseudo_inverse,
     q_x_given_sy,
     random_feasible_spec,
@@ -177,6 +177,8 @@ class TestPseudoInverse:
 
 
 class TestGaussianCmi:
+    """The test-local reference rate behind acceptance criterion 3."""
+
     def test_equal_covariances_zero_rate(self):
         assert gaussian_cmi(np.diag([1.0, 1.0]), np.diag([1.0, 1.0])) == 0.0
 
