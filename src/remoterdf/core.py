@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPSDError, NotSymmetricError, SingularYError
+from .errors import NotPSDError, NotSymmetricError, SingularCrossError, SingularYError
 
 # Tolerances (double precision headroom at dimensions <= 64).
 SYM_TOL_SCALE = 1e-9   # asymmetry allowance, relative to ||Q||_F
@@ -173,6 +173,13 @@ def conditional_stats(spec: GaussianSourceSpec) -> ConditionalStats:
         q_s_given_y=q_s_given_y,
         q_xs_given_y=q_xs_given_y,
     )
+
+
+def require_invertible_cross(stats: ConditionalStats) -> None:
+    """Raise SingularCrossError unless Q_{X,S|Y}'s smallest singular value exceeds INV_TOL."""
+    low = float(np.linalg.svd(stats.q_xs_given_y, compute_uv=False)[-1])
+    if low <= INV_TOL:
+        raise SingularCrossError(low)
 
 
 def symmetric_sqrt(m: np.ndarray) -> np.ndarray:

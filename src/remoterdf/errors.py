@@ -42,26 +42,16 @@ class SingularYError(RemoteRdfError):
 
 
 class InfeasibleSigmaError(RemoteRdfError):
-    """Distortion covariance violates 0 <= Sigma <= Q_{X|Y}."""
+    """Distortion covariance is malformed or outside [Q_{X|S,Y}, Q_{X|Y}]."""
 
 
-class NegativeNoiseError(RemoteRdfError):
+class NegativeNoiseError(InfeasibleSigmaError):
     def __init__(self, min_eigenvalue: float):
         self.min_eigenvalue = min_eigenvalue
         super().__init__(
             "reconstruction noise covariance has eigenvalue "
-            f"{min_eigenvalue:.3e} < 0: distortion covariance is outside the "
-            "achievable set for this channel gain"
-        )
-
-
-class SingularCrossError(RemoteRdfError):
-    def __init__(self, min_singular_value: float, tol: float):
-        self.min_singular_value = min_singular_value
-        self.tol = tol
-        super().__init__(
-            "conditional cross-covariance of source and measurement is singular "
-            f"(smallest singular value {min_singular_value:.3e} <= {tol:.3e})"
+            f"{min_eigenvalue:.3e} < 0: distortion covariance is outside "
+            "[Q_{X|S,Y}, Q_{X|Y}]"
         )
 
 
@@ -70,6 +60,13 @@ class HypothesisViolatedError(RemoteRdfError):
         self.hypothesis = hypothesis
         self.value = value
         super().__init__(f"hypothesis violated: {hypothesis} (offending value {value:.3e})")
+
+
+class SingularCrossError(HypothesisViolatedError):
+    """Q_{X,S|Y} is not invertible; `value` is its smallest singular value."""
+
+    def __init__(self, min_singular_value: float):
+        super().__init__("Q_{X,S|Y} must be invertible", min_singular_value)
 
 
 class BelowRangeError(RemoteRdfError):

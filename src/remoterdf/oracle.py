@@ -23,12 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import INV_TOL, GaussianSourceSpec, conditional_stats
-from .errors import (
-    DimensionUnsupportedError,
-    HypothesisViolatedError,
-    ResolutionTooCoarseError,
-)
+from .core import GaussianSourceSpec, conditional_stats, require_invertible_cross
+from .errors import DimensionUnsupportedError, ResolutionTooCoarseError
 
 # A prior-work noise variance this many times the correct channel's output
 # variance is reported as divergent.
@@ -188,8 +184,8 @@ def brute_force_rdf(
         n_x != n_s or n_x not in {1, 2}.
     ValueError
         delta not finite and positive, or a resolution below the minimum.
-    HypothesisViolatedError
-        Q_{X,S|Y} not invertible (smallest singular value <= INV_TOL).
+    SingularCrossError
+        Q_{X,S|Y} not invertible (a HypothesisViolatedError).
     ResolutionTooCoarseError
         Fewer than 10 feasible candidates.
     """
@@ -202,11 +198,7 @@ def brute_force_rdf(
     if res.eig_points < 2 or res.angle_points < 1:
         raise ValueError("resolution must have at least 2 eigenvalue and 1 angle point")
     stats = conditional_stats(spec)
-    cross_sv = np.linalg.svd(stats.q_xs_given_y, compute_uv=False)
-    if float(cross_sv[-1]) <= INV_TOL:
-        raise HypothesisViolatedError(
-            "Q_{X,S|Y} must be invertible", float(cross_sv[-1])
-        )
+    require_invertible_cross(stats)
 
     target = float(np.trace(stats.q_x_given_y)) - float(delta)
 

@@ -42,6 +42,7 @@ from .core import (
     ConditionalStats,
     GaussianSourceSpec,
     conditional_stats,
+    require_invertible_cross,
     sqrt_from_eigh,
     symmetrize,
 )
@@ -86,14 +87,13 @@ class SpectralSetup:
 @dataclass(frozen=True)
 class WaterfillSolution:
     """Allocations lambda (paired with d ascending, hence non-increasing),
-    water level xi, rate in nats, and the reconstructed covariances."""
+    water level xi, rate in nats, and the distortion covariance Sigma."""
 
     delta: float
     rate: float
     xi: float
     lam: np.ndarray
     sigma_delta: np.ndarray
-    q_xhat_given_y: np.ndarray
     above_range: bool
     water_error: float
 
@@ -123,25 +123,21 @@ def spectral_setup(spec: GaussianSourceSpec, stats: ConditionalStats) -> Spectra
     """Build the SVD reduction, enforcing the hypotheses it rests on.
 
     Checks, in this order, that n_x = n_s, that Q_{X,S|Y} is invertible and
-    that Q_{S|Y} and Q_{X|Y} are positive definite, each against INV_TOL.
-    The paper also assumes Q_{X|Y} > Q_{X|S,Y}; that needs no check, since
-    Q_{X|Y} - Q_{X|S,Y} = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T is positive
-    definite whenever Q_{X,S|Y} is invertible and Q_{S|Y} > 0.
+    that Q_{S|Y} is positive definite, each against INV_TOL.  The paper's
+    Q_{X|Y} >= Q_{X|Y} - Q_{X|S,Y} = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T > 0
+    follows from these two, so neither Q_{X|Y} > Q_{X|S,Y} nor Q_{X|Y} > 0
+    is tested.
     """
     if spec.n_x != spec.n_s:
         raise HypothesisViolatedError(
             f"source and measurement dimensions must match (n_x={spec.n_x}, n_s={spec.n_s})",
             float(spec.n_x - spec.n_s),
         )
-    cross_sv = np.linalg.svd(stats.q_xs_given_y, compute_uv=False)
-    if float(cross_sv[-1]) <= INV_TOL:
-        raise HypothesisViolatedError("Q_{X,S|Y} invertible", float(cross_sv[-1]))
+    require_invertible_cross(stats)
     # One eigendecomposition of Q_{S|Y} serves both its check and its root.
     eigvals_s, eigvecs_s = np.linalg.eigh(symmetrize(stats.q_s_given_y))
-    lows = [eigvals_s[0], np.linalg.eigvalsh(stats.q_x_given_y)[0]]
-    for name, low in zip(["Q_{S|Y} > 0", "Q_{X|Y} > 0"], lows):
-        if low <= INV_TOL:
-            raise HypothesisViolatedError(name, float(low))
+    if eigvals_s[0] <= INV_TOL:
+        raise HypothesisViolatedError("Q_{S|Y} > 0", float(eigvals_s[0]))
 
     root_s = sqrt_from_eigh(eigvals_s, eigvecs_s)
     _, d_desc, ut_desc = np.linalg.svd(np.linalg.solve(stats.q_xs_given_y.T, root_s).T)
@@ -269,7 +265,6 @@ def solve_waterfill(
         xi=float(xi[0]),
         lam=lam,
         sigma_delta=sigma_delta,
-        q_xhat_given_y=q_xhat,
         above_range=above_range,
         water_error=water_error,
     )

@@ -5,13 +5,20 @@ import pytest
 
 from remoterdf.core import (
     RANK_TOL,
+    ConditionalStats,
     GaussianSourceSpec,
     conditional_stats,
+    psd_tolerance,
     symmetric_sqrt,
     symmetrize,
     validate_spec,
 )
-from remoterdf.errors import NotPSDError, RemoteRdfError
+from remoterdf.errors import (
+    InfeasibleSigmaError,
+    NegativeNoiseError,
+    NotPSDError,
+    RemoteRdfError,
+)
 
 # Canonical scalar instance used throughout: Q_{X|Y}=0.5, Q_{S|Y}=1, Q_{X,S|Y}=0.5.
 SCALAR_Q = np.array([[1.0, 1.0, 1.0], [1.0, 1.5, 1.0], [1.0, 1.0, 2.0]])
@@ -109,6 +116,37 @@ def gaussian_cmi(q_prior: np.ndarray, q_posterior: np.ndarray) -> float:
     return max(0.0, 0.5 * (log_det_prior - log_det_post))
 
 
+def three_test_sigma_rule(stats: ConditionalStats, sigma: np.ndarray) -> None:
+    """Reference feasibility test of a finite, symmetric distortion covariance.
+
+    Three eigenvalue tests, each at `psd_tolerance` of Q_{X|Y}: Sigma >= 0,
+    Sigma <= Q_{X|Y} and the noise covariance Q_W >= 0.  `build_channel` runs
+    the last alone, which implies the other two; tests compare its verdicts
+    with these.  Q_{X,S|Y} must be invertible.
+
+    Raises
+    ------
+    InfeasibleSigmaError
+        Sigma has a negative eigenvalue or exceeds Q_{X|Y}.
+    NegativeNoiseError
+        Q_W has an eigenvalue below minus the tolerance.
+    """
+    sigma = symmetrize(sigma)
+    q_xy = stats.q_x_given_y
+    tol = psd_tolerance(float(np.max(np.linalg.eigvalsh(q_xy))))
+    if float(np.min(np.linalg.eigvalsh(sigma))) < -tol:
+        raise InfeasibleSigmaError("distortion covariance has a negative eigenvalue")
+    if float(np.min(np.linalg.eigvalsh(q_xy - sigma))) < -tol:
+        raise InfeasibleSigmaError("distortion covariance exceeds Q_{X|Y}")
+
+    m = symmetrize(q_xy - sigma)  # = Q_{X_hat|Y}
+    h = np.linalg.solve(stats.q_xs_given_y, m.T).T
+    q_w = symmetrize(m - h @ stats.q_s_given_y @ h.T)
+    w_eigs = np.linalg.eigvalsh(q_w)
+    if float(w_eigs[0]) < -tol:
+        raise NegativeNoiseError(float(w_eigs[0]))
+
+
 def simulate_whole_array(spec: GaussianSourceSpec, channel, n_samples: int, seed: int):
     """Reference Monte Carlo that holds every sample at once.
 
@@ -142,6 +180,17 @@ def classical_spec(q_x: float) -> GaussianSourceSpec:
     """Spec with X = S and Y independent of both (classical degenerate case)."""
     m = np.array([[q_x, q_x, 0.0], [q_x, q_x, 0.0], [0.0, 0.0, 1.0]])
     return validate_spec(m, (1, 1, 1))
+
+
+def singular_cross_spec(cross) -> GaussianSourceSpec:
+    """Spec with Q_{S|Y} = 2 I, Q_{X|Y} = I and Q_{X,S|Y} = diag(cross), and Y
+    independent of (X, S); a last entry at or below INV_TOL makes Q_{X,S|Y}
+    singular to the package."""
+    n = len(cross)
+    q = np.eye(2 * n + 1)
+    q[n : 2 * n, n : 2 * n] *= 2.0
+    q[:n, n : 2 * n] = q[n : 2 * n, :n] = np.diag(cross)
+    return validate_spec(q, (n, n, 1))
 
 
 def random_feasible_spec(

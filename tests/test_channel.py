@@ -17,14 +17,15 @@ from remoterdf.channel import (
     simulate_channel,
     verify_structure,
 )
-from remoterdf.core import conditional_stats, validate_spec
+from remoterdf.core import conditional_stats, psd_tolerance, symmetric_sqrt, validate_spec
 from remoterdf.errors import (
     DimensionUnsupportedError,
+    HypothesisViolatedError,
     InfeasibleSigmaError,
     NegativeNoiseError,
     SingularCrossError,
 )
-from remoterdf.oracle import wyner_scalar_rdf
+from remoterdf.oracle import brute_force_rdf, wyner_scalar_rdf
 from remoterdf.waterfill import distortion_range, solve_waterfill, spectral_setup
 
 from conftest import (
@@ -33,6 +34,8 @@ from conftest import (
     q_x_given_sy,
     random_feasible_spec,
     simulate_whole_array,
+    singular_cross_spec,
+    three_test_sigma_rule,
     wyner_spec,
 )
 
@@ -134,6 +137,142 @@ class TestBuildChannel:
                 continue
         with pytest.raises(DimensionUnsupportedError):
             build_channel(spec, conditional_stats(spec), np.eye(2) * 0.01)
+
+
+    @pytest.mark.parametrize("c", [1.0, 1e-9])
+    def test_asymmetric_sigma_refused_at_every_scale(self, c):
+        # 0.3 max|Sigma| added to one off-diagonal entry leaves Sigma 37 %
+        # asymmetric; the allowance is relative to ||Sigma||_F at any scale.
+        spec = validate_spec(c * generated_spec(np.random.default_rng(55), 2, 1).q, (2, 2, 1))
+        stats = conditional_stats(spec)
+        setup = spectral_setup(spec, stats)
+        lo, hi = distortion_range(spec, setup)
+        sigma = solve_waterfill(spec, setup, 0.5 * (lo + hi)).sigma_delta.copy()
+        sigma[0, 1] += 0.3 * np.max(np.abs(sigma))
+        with pytest.raises(InfeasibleSigmaError, match="not symmetric"):
+            build_channel(spec, stats, sigma)
+
+
+def tiny_component_spec():
+    """X = (X1, X2) with Var X1 = 1 and Var X2 = 1e-11, S = (X1 + N1, 100 X2 + N2)
+    with Var N1 = 0.5 and Var N2 = 1e-8, and Y = X1 + N3 with Var N3 = 1.
+
+    Q_{X|Y} = diag(0.5, 1e-11) has an eigenvalue under INV_TOL, while
+    Q_{X,S|Y} = diag(0.5, 1e-9) and Q_{S|Y} = diag(1, 1.1e-7) pass it."""
+    mix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 100.0], [1.0, 0.0]])
+    q = mix @ np.diag([1.0, 1e-11]) @ mix.T + np.diag([0.0, 0.0, 0.5, 1e-8, 1.0])
+    return validate_spec(q, (2, 2, 1))
+
+
+def sigma_refused(check, *args) -> bool:
+    try:
+        check(*args)
+    except InfeasibleSigmaError:
+        return True
+    return False
+
+
+class TestRefusals:
+    """Each refusal happens once: Q_W >= 0 decides Sigma, and one gate tests
+    Q_{X,S|Y} for every stage."""
+
+    @staticmethod
+    def assert_same_verdicts(spec, anchor, extra, rng):
+        """`build_channel` and the three-test rule agree on the Sigma in `extra`
+        and on anchor +- k tol v v^T, for v a random unit vector and the
+        eigenvectors of Q_{X|Y} - anchor, k off the rounding tie at 1."""
+        stats = conditional_stats(spec)
+        tol = psd_tolerance(float(np.max(np.linalg.eigvalsh(stats.q_x_given_y))))
+        _, vecs = np.linalg.eigh(stats.q_x_given_y - anchor)
+        directions = [*vecs.T, rng.standard_normal(spec.n_x)]
+        sigmas = list(extra)
+        for v in directions:
+            vvt = np.outer(v, v) / (v @ v)
+            for k in (0.5, 0.9, 1.1, 2.0, 10.0, 1e3, 1e6):
+                sigmas += [anchor + k * tol * vvt, anchor - k * tol * vvt]
+        verdicts = [
+            (sigma_refused(build_channel, spec, stats, sigma),
+             sigma_refused(three_test_sigma_rule, stats, sigma))
+            for sigma in sigmas
+        ]
+        assert all(new == old for new, old in verdicts), verdicts
+        return verdicts
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 8]),
+        scale=st.sampled_from([1.0, 1e-6, 1e6]),
+        frac=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_q_w_alone_refuses_as_the_three_test_rule(self, n, scale, frac, seed):
+        # Anchors: the floor Q_{X|S,Y} (frac 0), the optimal Sigma inside the
+        # range, and Q_{X|Y} (frac 1); plus Q_{X|Y}^{1/2} R Q_{X|Y}^{1/2}
+        # with eig(R) in [-0.05, 1.05], on both sides of the feasible set.
+        rng = np.random.default_rng(seed)
+        n_y = max(1, n // 4)
+        spec = validate_spec(scale * generated_spec(rng, n, n_y).q, (n, n, n_y))
+        stats = conditional_stats(spec)
+        if frac == 0.0:
+            anchor = q_x_given_sy(spec)
+        elif frac == 1.0:
+            anchor = stats.q_x_given_y
+        else:
+            setup = spectral_setup(spec, stats)
+            lo, hi = distortion_range(spec, setup)
+            anchor = solve_waterfill(spec, setup, lo + frac * (hi - lo)).sigma_delta
+        root = symmetric_sqrt(stats.q_x_given_y)
+        randoms = []
+        for _ in range(4):
+            rot, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            r = (rot * rng.uniform(-0.05, 1.05, n)) @ rot.T
+            randoms.append(root @ r @ root)
+        self.assert_same_verdicts(spec, anchor, randoms, rng)
+
+    @pytest.mark.parametrize("anchor", [0.0, 0.5, 1.0])
+    def test_wyner_spec_same_verdicts(self, anchor):
+        # X = S: Q_{X|S,Y} = 0, so the floor is Sigma = 0 and Q_{X|Y} = 1.
+        verdicts = self.assert_same_verdicts(
+            wyner_spec(1.0), np.array([[anchor]]), [], np.random.default_rng(7)
+        )
+        assert {new for new, _ in verdicts} == ({False} if anchor == 0.5 else {False, True})
+
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+    def test_tiny_source_component_is_solved(self, frac):
+        spec = tiny_component_spec()
+        c = np.array([0.25, 1e-18 / 1.1e-7])  # Q_{X,S|Y}^2 / Q_{S|Y}, per component
+        stats = conditional_stats(spec)
+        setup = spectral_setup(spec, stats)
+        lo, hi = distortion_range(spec, setup)
+        sol = solve_waterfill(spec, setup, lo + frac * (hi - lo))
+        ch = build_channel(spec, stats, sol.sigma_delta)
+        # Reverse water-filling over two components: level theta, rate
+        # 0.5 sum(log(c_i / theta)) over the c_i above it.
+        target = (1.0 - frac) * c.sum()
+        theta = c[0] - target if target <= c[0] - c[1] else (c.sum() - target) / 2.0
+        expected = 0.5 * float(np.sum(np.log(c[c > theta] / theta)))
+        rates = rate_of_channel(spec, ch)
+        assert rates.rate == pytest.approx(expected, rel=1e-12)
+        assert rates.rate_alt == pytest.approx(expected, rel=1e-12)
+        assert verify_structure(spec, ch).all_pass
+
+    @pytest.mark.parametrize(
+        "spec",
+        [validate_spec(np.eye(3), (1, 1, 1)), singular_cross_spec([1e-11]),
+         singular_cross_spec([0.5, 0.0])],
+        ids=["identity", "1x1", "2x2"],
+    )
+    @pytest.mark.parametrize("stage", ["spectral_setup", "build_channel", "brute_force_rdf"])
+    def test_one_gate_for_singular_cross(self, spec, stage):
+        stats = conditional_stats(spec)
+        run = {
+            "spectral_setup": lambda: spectral_setup(spec, stats),
+            "build_channel": lambda: build_channel(spec, stats, stats.q_x_given_y),
+            "brute_force_rdf": lambda: brute_force_rdf(spec, 0.5),
+        }[stage]
+        with pytest.raises(HypothesisViolatedError) as refusal:
+            run()
+        assert refusal.value.hypothesis == "Q_{X,S|Y} must be invertible"
 
 
 class TestDecoderOnlyForm:

@@ -404,10 +404,15 @@ class TestUsage:
         assert "usage: remoterdf" in capsys.readouterr().out
 
 
+def readme_block(heading: str, fence: str) -> str:
+    """The first ```fence code block after README's `## heading`."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"## {heading}", 1)[1].split(f"```{fence}", 1)[1].split("```", 1)[0]
+
+
 def readme_cli_commands() -> list[list[str]]:
     """The `remoterdf ...` lines of README's ## CLI code block, split into argv."""
-    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    block = readme_block("CLI", "sh")
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("remoterdf ")]
 
 
@@ -421,3 +426,13 @@ def test_readme_cli_command_succeeds(capsys, spec_path, argv):
     code, out, _ = run(capsys, [spec_path if arg == "spec.json" else arg for arg in argv])
     assert code == 0
     assert out
+
+
+def test_readme_library_quick_start():
+    names = {}
+    exec(readme_block("Library quick start", "python"), names)
+    assert (names["lo"], names["hi"]) == pytest.approx((0.25, 0.5), rel=1e-14)
+    assert names["sol"].rate == pytest.approx(0.5 * math.log(2.0), rel=1e-14)
+    rates = names["rates"]
+    assert rates.rate == pytest.approx(0.5 * math.log(2.0), rel=1e-14)
+    assert rates.rate_alt == pytest.approx(rates.rate, rel=1e-12)

@@ -22,7 +22,7 @@ from remoterdf.oracle import (
 )
 from remoterdf.waterfill import distortion_range, spectral_setup
 
-from conftest import random_feasible_spec
+from conftest import random_feasible_spec, singular_cross_spec
 
 
 class TestWynerScalar:
@@ -155,14 +155,10 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("cross", [[1e-11], [0.5, 0.0]], ids=["1x1", "2x2"])
     def test_singular_cross_covariance_refused(self, cross):
-        # Q_{S|Y} = 2 I and Q_{X|Y} = I, with Q_{X,S|Y} = diag(cross): its
-        # smallest singular value is at or below INV_TOL.
-        n = len(cross)
-        q = np.eye(2 * n + 1)
-        q[n : 2 * n, n : 2 * n] *= 2.0
-        q[:n, n : 2 * n] = q[n : 2 * n, :n] = np.diag(cross)
+        # Q_{X,S|Y} = diag(cross): its smallest singular value is at or below
+        # INV_TOL.
         with pytest.raises(HypothesisViolatedError) as refusal:
-            brute_force_rdf(validate_spec(q, (n, n, 1)), 0.5)
+            brute_force_rdf(singular_cross_spec(cross), 0.5)
         assert refusal.value.hypothesis == "Q_{X,S|Y} must be invertible"
         assert refusal.value.value == pytest.approx(cross[-1], abs=1e-15)
 
