@@ -4,12 +4,13 @@ The problem instance is the joint covariance of the zero-mean Gaussian vector
 (X, S, Y): X is the source (dimension n_x), S the measurement available to the
 encoder (n_s), Y the side information (n_y).  Everything downstream is a
 function of this matrix, so this module owns validation, the conditional
-(Schur-complement) statistics given Y, and PSD square roots.
+(Schur-complement) statistics given Y, and the PSD square root for simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +106,11 @@ class ConditionalStats:
     q_s_given_y: np.ndarray
     q_xs_given_y: np.ndarray
 
+    @cached_property
+    def cross_sigma_min(self) -> float:
+        """Smallest singular value of Q_{X,S|Y}, computed on first use only."""
+        return float(np.linalg.svd(self.q_xs_given_y, compute_uv=False)[-1])
+
 
 def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSourceSpec:
     """Validate a raw joint covariance and package it as a GaussianSourceSpec.
@@ -177,9 +183,8 @@ def conditional_stats(spec: GaussianSourceSpec) -> ConditionalStats:
 
 def require_invertible_cross(stats: ConditionalStats) -> None:
     """Raise SingularCrossError unless Q_{X,S|Y}'s smallest singular value exceeds INV_TOL."""
-    low = float(np.linalg.svd(stats.q_xs_given_y, compute_uv=False)[-1])
-    if low <= INV_TOL:
-        raise SingularCrossError(low)
+    if stats.cross_sigma_min <= INV_TOL:
+        raise SingularCrossError(stats.cross_sigma_min)
 
 
 def symmetric_sqrt(m: np.ndarray) -> np.ndarray:
@@ -188,11 +193,7 @@ def symmetric_sqrt(m: np.ndarray) -> np.ndarray:
     Eigenvalues below the PSD tolerance are clamped to zero before rooting,
     so nearly singular inputs root cleanly.
     """
-    return sqrt_from_eigh(*np.linalg.eigh(symmetrize(np.asarray(m, dtype=float))))
-
-
-def sqrt_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
-    """`symmetric_sqrt(m)`, bit for bit, from `np.linalg.eigh(symmetrize(m))`."""
+    eigvals, eigvecs = np.linalg.eigh(symmetrize(np.asarray(m, dtype=float)))
     tol = psd_tolerance(float(eigvals[-1])) if eigvals.size else 0.0
     if eigvals.size and float(eigvals[0]) < -tol:
         raise NotPSDError(float(eigvals[0]), tol)

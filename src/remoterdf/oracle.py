@@ -30,7 +30,7 @@ from .errors import DimensionUnsupportedError, ResolutionTooCoarseError
 # variance is reported as divergent.
 DIVERGENCE_FACTOR = 1e3
 
-_FEAS_TOL = 1e-12
+_FEAS_TOL = 1e-12  # feasibility slack, relative to the instance's own scale
 
 # Candidates per block of the 2x2 search: bounds its memory whatever the grid.
 _BLOCK_CANDIDATES = 32768
@@ -217,7 +217,7 @@ def _brute_force_scalar(stats, target: float, res: OracleResolution) -> OracleRe
     a_max = min(q_x, q_xs * q_xs / q_s)
     a = np.linspace(0.0, a_max, res.eig_points)
     a = np.append(a, min(max(target, 0.0), a_max))  # trace-boundary candidate
-    ftol = _FEAS_TOL * max(1.0, q_x)
+    ftol = _FEAS_TOL * q_x
 
     post = q_s - (q_s * q_s / (q_xs * q_xs)) * a
     feasible = (a >= target - ftol) & (post > 0.0)
@@ -256,7 +256,7 @@ def _brute_force_2x2(stats, target: float, res: OracleResolution) -> OracleResul
         float(np.max(np.linalg.eigvalsh(q_x))),
         1.0 / float(np.min(np.linalg.eigvalsh(k))),
     )
-    ftol = _FEAS_TOL * max(1.0, a_max)
+    ftol = _FEAS_TOL * a_max
 
     thetas = np.linspace(0.0, np.pi, res.angle_points, endpoint=False)
     angles = []

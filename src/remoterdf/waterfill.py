@@ -1,22 +1,23 @@
 """Spectral reduction and water-filling solution of the rate-distortion function.
 
-The conditional covariances reduce the problem to parallel components: the
-SVD V diag(d) U^T of Q_{S|Y}^{1/2} Q_{X,S|Y}^{-1} (symmetric square root) gives
-the reproduction covariance given Y as U diag(lambda) U^T and the rate as
-0.5 * sum(log(1/(1 - lambda_i d_i^2))).
+The remote-source reduction gives parallel components: with Q_{S|Y} = L L^T
+(Cholesky), F = L^{-1} Q_{X,S|Y}^T = V diag(s) U^T and d_i = 1/s_i, the
+matrix B = F^T F = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T is the covariance of
+E[X|S,Y] given Y, the reproduction covariance given Y is U diag(lambda) U^T
+and the rate is 0.5 * sum(log(1/(1 - lambda_i d_i^2))).
 The allocations follow a water level xi:
 
     lambda_i = 1/d_i^2 - 1/(2 xi)   when xi > d_i^2 / 2, else 0
 
 with xi chosen so the allocations sum to trace(Q_{X|Y}) - delta.  This is
 reverse water-filling (Cover & Thomas, Elements of Information Theory, 2nd
-ed., 10.3.3), so the level has a closed form: with the d_i ascending, the k
-components with the largest 1/d_i^2 are active and 1/(2 xi) is the mean
-excess of their 1/d_i^2 over the target.
+ed., 10.3.3) on the spectrum of B, so the level has a closed form: with the
+d_i ascending, the k components with the largest 1/d_i^2 are active and
+1/(2 xi) is the mean excess of their 1/d_i^2 over the target.
 
-Distortions at or below delta_min = trace(Q_{X|Y}) - sum(1/d_i^2) carry
-infinite rate and are rejected; distortions above delta_plus = trace(Q_{X|Y})
-need no coding and return a flagged zero-rate solution.
+Distortions at or below delta_min = trace(Q_{X|Y}) - sum(1/d_i^2) =
+trace(Q_{X|S,Y}) carry infinite rate and are rejected; distortions above
+delta_plus = trace(Q_{X|Y}) need no coding and return a flagged zero-rate one.
 
 One solver, `_water_levels`, finds the level for a whole array of
 distortions at once.  `rdf_curve` hands it the grid in blocks of about
@@ -32,18 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
-    INV_TOL,
     RANK_TOL,
     ConditionalStats,
     GaussianSourceSpec,
     conditional_stats,
     require_invertible_cross,
-    sqrt_from_eigh,
     symmetrize,
 )
 from .errors import BelowRangeError, HypothesisViolatedError
@@ -64,24 +64,31 @@ STEP_DOWN_LIMIT = 2200
 
 @dataclass(frozen=True)
 class SpectralSetup:
-    """SVD of the reduction matrix with singular values sorted ascending.
+    """The whitened cross-covariance F and its singular values.
 
-    `u` and `d` are the right singular vectors and singular values of
-    Q_{S|Y}^{1/2} Q_{X,S|Y}^{-1}.  Columns of `u` are permuted with `d` and
-    sign-fixed so the first largest-magnitude entry of each is positive;
-    `active` indexes the nonzero singular values and `d_sq` holds their
-    squares.
+    `f` is F = L^{-1} Q_{X,S|Y}^T, L the Cholesky factor of Q_{S|Y}, so
+    F^T F = B = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T.  `d` holds d_i = 1/s_i,
+    ascending, s_i the singular values of F; `active` indexes the s_i above
+    RANK_TOL * s_max (components S observes) and `d_sq` holds their d_i^2.
     `q_x_given_y`, its trace (delta_plus) and `delta_min` are carried so
     that solving at any distortion needs no further conditional statistics.
     """
 
-    u: np.ndarray
+    f: np.ndarray
     d: np.ndarray
     active: np.ndarray
     q_x_given_y: np.ndarray
     d_sq: np.ndarray
     trace_xy: float
     delta_min: float
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """Right singular vectors of F, paired with `d`, each with its first
+        largest-magnitude entry positive; computed on first use only."""
+        u = np.linalg.svd(self.f, full_matrices=False)[2].T
+        lead = np.argmax(np.abs(u), axis=0)
+        return u * np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -120,13 +127,13 @@ class RdfCurve:
 
 
 def spectral_setup(spec: GaussianSourceSpec, stats: ConditionalStats) -> SpectralSetup:
-    """Build the SVD reduction, enforcing the hypotheses it rests on.
+    """Build the reduction on the Cholesky factor of Q_{S|Y}, enforcing its hypotheses.
 
-    Checks, in this order, that n_x = n_s, that Q_{X,S|Y} is invertible and
-    that Q_{S|Y} is positive definite, each against INV_TOL.  The paper's
-    Q_{X|Y} >= Q_{X|Y} - Q_{X|S,Y} = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T > 0
-    follows from these two, so neither Q_{X|Y} > Q_{X|S,Y} nor Q_{X|Y} > 0
-    is tested.
+    Checks that n_x = n_s and that Q_{X,S|Y} is invertible (against INV_TOL),
+    then refuses a Q_{S|Y} with no Cholesky factor, reporting its smallest
+    eigenvalue; one that factors is used as it is, small eigenvalues and all.
+    Q_{X|Y} >= B > 0 follows, so neither Q_{X|Y} > Q_{X|S,Y} nor Q_{X|Y} > 0
+    is tested.  Only the singular values of F are computed here.
     """
     if spec.n_x != spec.n_s:
         raise HypothesisViolatedError(
@@ -134,29 +141,21 @@ def spectral_setup(spec: GaussianSourceSpec, stats: ConditionalStats) -> Spectra
             float(spec.n_x - spec.n_s),
         )
     require_invertible_cross(stats)
-    # One eigendecomposition of Q_{S|Y} serves both its check and its root.
-    eigvals_s, eigvecs_s = np.linalg.eigh(symmetrize(stats.q_s_given_y))
-    if eigvals_s[0] <= INV_TOL:
-        raise HypothesisViolatedError("Q_{S|Y} > 0", float(eigvals_s[0]))
+    try:
+        chol = np.linalg.cholesky(stats.q_s_given_y)
+    except np.linalg.LinAlgError:
+        low = float(np.linalg.eigvalsh(stats.q_s_given_y)[0])
+        raise HypothesisViolatedError("Q_{S|Y} > 0", low) from None
 
-    root_s = sqrt_from_eigh(eigvals_s, eigvecs_s)
-    _, d_desc, ut_desc = np.linalg.svd(np.linalg.solve(stats.q_xs_given_y.T, root_s).T)
-    d = d_desc[::-1].copy()
-    u = ut_desc[::-1, :].T.copy()
-    lead = np.argmax(np.abs(u), axis=0)
-    u *= np.where(u[lead, np.arange(d.size)] < 0.0, -1.0, 1.0)
-    active = np.flatnonzero(d > RANK_TOL * (d[-1] if d.size else 0.0))
+    f = np.linalg.solve(chol, stats.q_xs_given_y.T)
+    s = np.linalg.svd(f, compute_uv=False)
+    active = np.flatnonzero(s > RANK_TOL * s[0])
+    d = 1.0 / s
     d_sq = d[active] ** 2
     trace_xy = float(np.trace(stats.q_x_given_y))
-    return SpectralSetup(
-        u=u,
-        d=d,
-        active=active,
-        q_x_given_y=stats.q_x_given_y,
-        d_sq=d_sq,
-        trace_xy=trace_xy,
-        delta_min=trace_xy - float(np.sum(1.0 / d_sq)),
-    )
+    # delta_min is the capacity sum(1/d_sq) the water level fills, not sum(s^2).
+    return SpectralSetup(f=f, d=d, active=active, q_x_given_y=stats.q_x_given_y, d_sq=d_sq,
+                         trace_xy=trace_xy, delta_min=trace_xy - float(np.sum(1.0 / d_sq)))
 
 
 def distortion_range(spec: GaussianSourceSpec, setup: SpectralSetup) -> tuple[float, float]:

@@ -8,10 +8,18 @@ water-filling rates on random instances (covariances stored in full), which
 must agree to 1e-12 relative.  `golden/levels.json` holds the water level xi
 and the active count of each `rdf_curve` point on those instances, at
 distortions within 4 ulps of delta_min, delta_plus and every breakpoint
-total, compared bit for bit.  Regenerate the files (after checking every
-difference) with
+total, compared bit for bit; `test_levels_golden_against_50_digits` checks
+those recorded levels against a 50-digit evaluation, so a re-recorded file
+must earn its place.  Regenerate the files (after checking every difference)
+with
 
-    PYTHONPATH=src:tests python tests/test_golden.py
+    PYTHONPATH=src:tests python tests/test_golden.py [cli] [rates] [oracle] [levels]
+
+which rewrites the named files, or all four when none is named.  Name only
+the files meant to change: `rates` and `oracle` derive their distortions from
+`distortion_range` and `cli` prints delta_min, so all three move whenever
+delta_min moves in its last bits; `levels` is recorded on the instances of
+the rates.json on disk.
 """
 
 import contextlib
@@ -255,6 +263,66 @@ def record_levels() -> list[dict]:
     return instances
 
 
+def exact_levels(q, dims, deltas, mpmath):
+    """Water level and active count at each distortion, in mpmath's current precision.
+
+    Also returns the distortions where the active set changes: delta_min
+    and trace(Q_{X|Y}) minus each breakpoint total.
+    """
+    n_x, n_s, _ = dims
+    m = mpmath.matrix([[mpmath.mpf(x) for x in row] for row in q])
+    sx, ss, sy = range(n_x), range(n_x, n_x + n_s), range(n_x + n_s, m.rows)
+
+    def block(rows, cols):
+        return mpmath.matrix([[m[i, j] for j in cols] for i in rows])
+
+    def given_y(rows, cols):
+        return block(rows, cols) - block(rows, sy) * mpmath.inverse(block(sy, sy)) * block(sy, cols)
+
+    cross = given_y(sx, ss)
+    b = cross * mpmath.inverse(given_y(ss, ss)) * cross.T
+    c = sorted(mpmath.eigsy((b + b.T) / 2, eigvals_only=True), reverse=True)
+    q_x = given_y(sx, sx)
+    trace = mpmath.fsum(q_x[i, i] for i in sx)
+    totals = [mpmath.fsum(c[:k]) - k * c[k - 1] for k in range(1, n_x + 1)]
+    xi, count = [], []
+    for delta in deltas:
+        target = max(trace - mpmath.mpf(delta), 0)
+        if target >= mpmath.fsum(c):
+            xi.append(None)
+            count.append(None)
+            continue
+        active = sum(1 for t in totals if t < target)
+        k = max(1, active)
+        xi.append(k / (2 * (mpmath.fsum(c[:k]) - target)))
+        count.append(active)
+    return xi, count, [trace - mpmath.fsum(c), *(trace - t for t in totals)]
+
+
+def test_levels_golden_against_50_digits():
+    # Every recorded active count must be exact at points more than 4 ulps
+    # from where the exact active set changes, and the recorded levels must
+    # be accurate to a few ulps in the median.  Points less than
+    # 1e-9 * delta_plus above delta_min, where xi is ill-conditioned, are
+    # left out of the level error.
+    mpmath = pytest.importorskip("mpmath")
+    miscounted, errors = [], []
+    with mpmath.workdps(50):
+        for rec, instance in zip(LEVELS_DOC, RATES_DOC, strict=True):
+            xi, count, changes = exact_levels(instance["covariance"], instance["dims"],
+                                              rec["deltas"], mpmath)
+            hi = float(changes[1])
+            for j, delta in enumerate(rec["deltas"]):
+                near = any(abs(mpmath.mpf(delta) - x) <= 4 * math.ulp(float(x)) for x in changes)
+                if rec["active_count"][j] != count[j] and not near:
+                    miscounted.append((delta, rec["active_count"][j], count[j]))
+                if xi[j] is not None and delta > float(changes[0]) + 1e-9 * hi:
+                    errors.append(float(abs(rec["xi"][j] - xi[j]) / xi[j]))
+    assert miscounted == []
+    assert float(np.median(errors)) <= 2e-15
+    assert max(errors) <= 2e-11
+
+
 def oracle_outputs(q, dims, delta, grid) -> dict:
     spec = validate_spec(np.array(q), tuple(dims))
     res = brute_force_rdf(spec, delta, OracleResolution(*grid))
@@ -302,7 +370,7 @@ def test_comparison_rejects_changed_fields():
     assert json_mismatches({"x": True}, {"x": 1})
 
 
-if __name__ == "__main__":
+def record_cli() -> dict:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -311,9 +379,20 @@ if __name__ == "__main__":
         for case, argv in CASES.items():
             code, out = run_case(argv, spec_paths)
             doc[case] = {"argv": argv, "code": code, "stdout": out}
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    RATES.write_text(json.dumps(record_rates()) + "\n", encoding="utf-8")
-    ORACLE.write_text(json.dumps(record_oracle()) + "\n", encoding="utf-8")
-    RATES_DOC = json.loads(RATES.read_text(encoding="utf-8"))
-    LEVELS.write_text(json.dumps(record_levels()) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN}, {RATES}, {ORACLE} and {LEVELS}", file=sys.stderr)
+    return doc
+
+
+if __name__ == "__main__":
+    # In this order, so that `levels` is recorded on a freshly written rates.json.
+    RECORDERS = {"cli": (GOLDEN, record_cli, 1), "rates": (RATES, record_rates, None),
+                 "oracle": (ORACLE, record_oracle, None), "levels": (LEVELS, record_levels, None)}
+    names = sys.argv[1:] or list(RECORDERS)
+    unknown = sorted(set(names) - set(RECORDERS))
+    if unknown:
+        sys.exit(f"unknown golden file(s) {unknown}; choose from {list(RECORDERS)}")
+    for name, (path, record, indent) in RECORDERS.items():
+        if name in names:
+            path.write_text(json.dumps(record(), indent=indent, sort_keys=indent is not None)
+                            + "\n", encoding="utf-8")
+            RATES_DOC = json.loads(RATES.read_text(encoding="utf-8"))
+            print(f"wrote {path}", file=sys.stderr)

@@ -20,9 +20,9 @@ from remoterdf.oracle import (
     remark3_discrepancy,
     wyner_scalar_rdf,
 )
-from remoterdf.waterfill import distortion_range, spectral_setup
+from remoterdf.waterfill import distortion_range, solve_waterfill, spectral_setup
 
-from conftest import random_feasible_spec, singular_cross_spec
+from conftest import SCALAR_Q, random_feasible_spec, singular_cross_spec
 
 
 class TestWynerScalar:
@@ -146,6 +146,18 @@ class TestBruteForce:
         # The vector classical RDF gives rate ln(2/delta) at distortion delta.
         res = brute_force_rdf(isotropic_spec(), 0.5)
         assert res.rate == pytest.approx(math.log(4.0), abs=1e-4)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e6])
+    def test_grid_never_beats_the_optimum_at_any_scale(self, scale):
+        # Candidates must meet the trace target to a tolerance relative to
+        # the instance's scale: an absolute one let the README spec x1e-9
+        # admit candidates short of it, 3.5e-3 nats under the optimum.
+        spec = validate_spec(SCALAR_Q * scale, (1, 1, 1))
+        setup = spectral_setup(spec, conditional_stats(spec))
+        lo, hi = distortion_range(spec, setup)
+        delta = lo + 0.55 * (hi - lo)
+        optimum = solve_waterfill(spec, setup, delta).rate
+        assert brute_force_rdf(spec, delta).rate >= optimum - 1e-12 * max(optimum, 1.0)
 
     def test_dimension_guard(self):
         rng = np.random.default_rng(5)

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import remoterdf.waterfill
+from remoterdf.channel import build_channel
 from remoterdf.core import (
     INV_TOL,
     RANK_TOL,
     conditional_stats,
     psd_tolerance,
-    sqrt_from_eigh,
     symmetric_sqrt,
     symmetrize,
     validate_spec,
@@ -67,10 +67,11 @@ def blocks_spec(q_s, cross):
 
 
 def reference_reduction(stats):
-    """(u, d, active, d_sq, delta_min) by a longer route kept as a bitwise
-    reference: `eigvalsh` for both positivity checks, a second `eigh` of
-    Q_{S|Y} for its root (the clamp-and-root of `symmetric_sqrt`, written
-    out), and a per-column loop for the singular-vector signs."""
+    """(u, d, active, d_sq, delta_min) by a route independent of the Cholesky
+    factor: `eigvalsh` for both positivity checks, a second `eigh` of Q_{S|Y}
+    for its root (the clamp-and-root of `symmetric_sqrt`, written out), the
+    SVD of Q_{S|Y}^{1/2} Q_{X,S|Y}^{-1}, whose singular values are the d_i,
+    and a per-column loop for the singular-vector signs."""
     for name, m in [("Q_{S|Y} > 0", stats.q_s_given_y), ("Q_{X|Y} > 0", stats.q_x_given_y)]:
         low = float(np.min(np.linalg.eigvalsh(m)))
         if low <= INV_TOL:
@@ -91,14 +92,25 @@ def reference_reduction(stats):
 
 
 def assert_matches_reference(spec):
+    """The reduction agrees with `reference_reduction` to 1e-12 relative.
+
+    The singular vectors are checked as a basis, by orthonormality and by
+    F = V diag(s) U^T with V = F U diag(d), not entry by entry: equal
+    singular values admit any basis of their subspace.
+    """
     stats = conditional_stats(spec)
     setup = spectral_setup(spec, stats)
-    u, d, active, d_sq, delta_min = reference_reduction(stats)
-    assert np.array_equal(setup.u, u)
-    assert np.array_equal(setup.d, d)
+    _, d, active, d_sq, delta_min = reference_reduction(stats)
     assert np.array_equal(setup.active, active)
-    assert np.array_equal(setup.d_sq, d_sq)
-    assert setup.delta_min == delta_min
+    assert setup.d_sq == pytest.approx(d_sq, rel=1e-12, abs=0.0)
+    assert setup.d**2 == pytest.approx(d**2, rel=1e-12, abs=0.0)
+    assert setup.delta_min == pytest.approx(delta_min, rel=1e-12, abs=0.0)
+    n = setup.d.size
+    v = setup.f @ setup.u * setup.d
+    scale = np.linalg.norm(setup.f, "fro")
+    assert np.linalg.norm(setup.u.T @ setup.u - np.eye(n), "fro") <= 1e-12 * n
+    assert np.linalg.norm(v.T @ v - np.eye(n), "fro") <= 1e-12 * n
+    assert np.linalg.norm((v / setup.d) @ setup.u.T - setup.f, "fro") <= 1e-12 * n * scale
     return setup
 
 
@@ -153,9 +165,8 @@ class TestSpectralSetup:
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(n=st.sampled_from([1, 2, 3, 8, 33, 64]), seed=st.integers(0, 2**32 - 1))
     def test_bitwise_equal_to_reference_reduction(self, n, seed):
-        # One eigendecomposition of Q_{S|Y} serves its check and its root,
-        # and the signs are fixed for all columns at once; neither may move
-        # a bit of the reduction.
+        # The Cholesky route and the square-root route of
+        # `reference_reduction` reach the same spectrum up to rounding.
         assert_matches_reference(generated_spec(np.random.default_rng(seed), n, max(1, n // 4)))
 
     @pytest.mark.parametrize(
@@ -173,34 +184,89 @@ class TestSpectralSetup:
     def test_bitwise_equal_to_reference_on_fixed_specs(self, make):
         assert_matches_reference(make())
 
-    def test_tied_lead_keeps_the_first_entry_positive(self):
-        setup = make_setup(blocks_spec(np.eye(2), [[0.5, 0.25], [0.25, 0.5]]))
-        assert np.abs(setup.u[0]).tolist() == np.abs(setup.u[1]).tolist()
-        assert np.all(setup.u[0] > 0.0)
+    def test_singular_vectors_only_when_a_covariance_is_built(self, monkeypatch):
+        # The gate takes Q_{X,S|Y}'s singular values once per
+        # ConditionalStats and the setup takes F's; the full SVD waits for
+        # the first covariance, and a curve never asks for it.
+        spec = generated_spec(np.random.default_rng(3), 8, 2)
+        stats = conditional_stats(spec)
+        calls, svd = [], np.linalg.svd
 
-    @pytest.mark.parametrize("low", [0.0, 1e-12, INV_TOL])
+        def counted(a, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        setup = spectral_setup(spec, stats)
+        assert calls == [False, False] and "u" not in vars(setup)
+        delta = 0.5 * (setup.delta_min + setup.trace_xy)
+        build_channel(spec, stats, solve_waterfill(spec, setup, delta).sigma_delta)
+        solve_waterfill(spec, setup, delta)
+        assert calls == [False, False, True]
+        calls.clear()
+        rdf_curve(spec, [delta])
+        assert calls == [False, False]
+
+    def test_tied_lead_keeps_the_first_entry_positive(self):
+        # The two entries of each column tie in magnitude up to rounding, so
+        # the sign rule decides on whichever leads: that entry is positive.
+        setup = make_setup(blocks_spec(np.eye(2), [[0.5, 0.25], [0.25, 0.5]]))
+        u = setup.u
+        assert np.abs(u[0]) == pytest.approx(np.abs(u[1]), rel=1e-15)
+        lead = np.argmax(np.abs(u), axis=0)
+        assert np.all(u[lead, np.arange(2)] > 0.0)
+
+    @pytest.mark.parametrize("low", [0.0, -1e-12])
     def test_q_s_given_y_at_or_below_inv_tol_refused(self, low):
         # Q_{X,S|Y} = diag(0.5, 1e-7) stays invertible, so the Q_{S|Y} check
-        # is the one that refuses.
+        # is the one that refuses.  A Q_{S|Y} eigenvalue of -1e-12 is within
+        # validate_spec's PSD tolerance of the joint, but it has no Cholesky
+        # factor.
         spec = blocks_spec(np.diag([1.0, low]), np.diag([0.5, 1e-7]))
         with pytest.raises(HypothesisViolatedError) as exc:
             make_setup(spec)
         assert exc.value.hypothesis == "Q_{S|Y} > 0"
         assert exc.value.value == low
 
-    def test_eigenvalue_under_psd_tolerance_is_clamped(self):
-        # Q_{S|Y} has eigenvalues 1e3 and 1e-8: it passes the INV_TOL check
-        # but its small eigenvalue is under psd_tolerance(1e3) = 1e-6, so the
-        # root clamps it to zero and that component drops out of `active`.
+    @pytest.mark.parametrize("low", [1e-12, INV_TOL])
+    def test_q_s_given_y_below_inv_tol_is_solved(self, low):
+        # Q_{S|Y} = diag(1, low) factors, so the instance is solved: B =
+        # diag(0.25, 1e-14 / low) and delta_min = 2 - trace(B).
+        setup = make_setup(blocks_spec(np.diag([1.0, low]), np.diag([0.5, 1e-7])))
+        assert setup.delta_min == pytest.approx(1.75 - 1e-14 / low, rel=1e-12)
+        assert setup.active.tolist() == [0, 1]
+
+    def test_eigenvalue_under_psd_tolerance_is_kept(self):
+        # Q_{S|Y} has eigenvalues 1e3 and 1e-8 (the joint's smallest is
+        # 9.9e-9): the small one is under psd_tolerance(1e3) = 1e-6, and a
+        # clamped square root would drop the component S observes through
+        # it, putting delta_min at 1.999.  A 50-digit evaluation of B's
+        # eigenvalues (0.001 and 0.0100000013) gives 1.98899999867516.
+        mpmath = pytest.importorskip("mpmath")
         c, s = math.cos(0.3), math.sin(0.3)
         rot = np.array([[c, -s], [s, c]])
         spec = blocks_spec((rot * [1e3, 1e-8]) @ rot.T, np.diag([1.0, 1e-5]) @ rot.T)
-        q_s = conditional_stats(spec).q_s_given_y
-        eigvals, eigvecs = np.linalg.eigh(symmetrize(q_s))
+        eigvals = np.linalg.eigvalsh(conditional_stats(spec).q_s_given_y)
         assert INV_TOL < eigvals[0] < psd_tolerance(float(eigvals[-1]))
-        assert np.array_equal(sqrt_from_eigh(eigvals, eigvecs), symmetric_sqrt(q_s))
-        setup = assert_matches_reference(spec)
-        assert setup.active.tolist() == [1]
+        with mpmath.workdps(50):
+            q = mpmath.matrix(spec.q.tolist())
+            q_s = q[2:4, 2:4] - q[2:4, 4] * q[4, 2:4] / q[4, 4]
+            cross = q[0:2, 2:4] - q[0:2, 4] * q[4, 2:4] / q[4, 4]
+            q_x = q[0:2, 0:2] - q[0:2, 4] * q[4, 0:2] / q[4, 4]
+            b = cross * mpmath.inverse(q_s) * cross.T
+            exact = float(q_x[0, 0] + q_x[1, 1] - b[0, 0] - b[1, 1])
+            c_max = max(mpmath.eigsy(b, eigvals_only=True))
+            # At 1.995 only the 0.0100000013 component is active.
+            rate = float(mpmath.log(c_max / (c_max - (q_x[0, 0] + q_x[1, 1] - 1.995))) / 2)
+        assert exact == pytest.approx(1.98899999867516, abs=1e-14)
+        setup = make_setup(spec)
+        assert setup.active.tolist() == [0, 1]
+        assert setup.delta_min == pytest.approx(exact, abs=1e-8)
+        point = rdf_curve(spec, [1.995]).points[0]
+        assert point.feasible and point.active_count == 1
+        # dR/dc_max = 0.5 (1/c_max - 1/(c_max - target)) is about -50 here,
+        # so the 1e-8 allowed on delta_min allows 5e-7 on the rate.
+        assert point.rate == pytest.approx(rate, abs=5e-7)
 
 
 class TestDistortionRange:
@@ -562,21 +628,35 @@ class TestExactWaterLevel:
         assert xi[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_step_down_is_bounded(self, monkeypatch):
-        # The first level of golden levels instance 0 at its 17th distortion
-        # overshoots the target, so finding it takes the step-down loop; at
-        # the 16th it fits at once.  With no step-downs allowed the first
-        # must raise instead of looping, and the second is unaffected.
+        # Search the golden levels, instance by instance, for a distortion
+        # whose closed-form level overshoots its target, so that finding it
+        # takes the step-down loop, and for one on the same instance whose
+        # level fits at once.  With no step-downs allowed the first must
+        # raise instead of looping, and the second is unaffected.
         golden = Path(__file__).parent / "golden"
-        instance = json.loads((golden / "rates.json").read_text(encoding="utf-8"))[0]
-        levels = json.loads((golden / "levels.json").read_text(encoding="utf-8"))[0]
-        spec = validate_spec(instance["covariance"], instance["dims"])
-        fits, steps = levels["deltas"][15], levels["deltas"][16]
+        instances = json.loads((golden / "rates.json").read_text(encoding="utf-8"))
+        all_levels = json.loads((golden / "levels.json").read_text(encoding="utf-8"))
         monkeypatch.setattr(remoterdf.waterfill, "STEP_DOWN_LIMIT", 0)
+        for instance, levels in zip(instances, all_levels, strict=True):
+            spec = validate_spec(instance["covariance"], instance["dims"])
+            setup = make_setup(spec)
+            found = {}
+            for delta, xi in zip(levels["deltas"], levels["xi"]):
+                if setup.delta_min < delta <= setup.trace_xy:
+                    try:
+                        rdf_curve(spec, [delta])
+                        found.setdefault("fits", (delta, xi))
+                    except RuntimeError:
+                        found.setdefault("steps", delta)
+            if found.keys() == {"fits", "steps"}:
+                break
+        assert found.keys() == {"fits", "steps"}, "no golden level takes a step-down"
         with pytest.raises(RuntimeError, match="step-downs"):
-            rdf_curve(spec, [steps])
+            rdf_curve(spec, [found["steps"]])
         with pytest.raises(RuntimeError, match="step-downs"):
-            solve_waterfill(spec, make_setup(spec), steps)
-        assert rdf_curve(spec, [fits]).points[0].xi == levels["xi"][15]
+            solve_waterfill(spec, setup, found["steps"])
+        fits, xi = found["fits"]
+        assert rdf_curve(spec, [fits]).points[0].xi == xi
 
     def test_rate_near_upper_boundary_matches_high_precision(self):
         # Q_{S|Y} = I, Q_{X,S|Y} = diag(1e12, 1e11, 1e10) and Q_{X|S,Y} = I
