@@ -2,12 +2,13 @@
 
 The reproduction is realized as X_hat = H S + G Y + W with W independent
 Gaussian noise.  Given a feasible distortion covariance Sigma
-(Q_{X|S,Y} <= Sigma <= Q_{X|Y}), the unique gains under an invertible
-conditional cross-covariance are
+(Q_{X|S,Y} <= Sigma <= Q_{X|Y}), M = Q_{X|Y} - Sigma and B = Q_{X|Y} -
+Q_{X|S,Y} = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T, the gains are, for any n_x,
+n_s and rank of Q_{X,S|Y} (B^+ the pseudoinverse, from `ConditionalStats`)
 
-    H = (Q_{X|Y} - Sigma) Q_{X,S|Y}^{-T}
+    H = M B^+ Q_{X,S|Y} Q_{S|Y}^{-1}
     G = (Q_{X,Y} - H Q_{S,Y}) Q_Y^{-1}
-    Q_W = Q_{X|Y} - Sigma - H Q_{S|Y} H^T
+    Q_W = M - H Q_{S|Y} H^T = M - M B^+ M
 
 The same matrices also realize the decoder-only split X_hat = G Y + Z with
 Z = H S + W, where Z is what an encoder without access to Y would transmit:
@@ -36,11 +37,10 @@ from .core import (
     ConditionalStats,
     GaussianSourceSpec,
     psd_tolerance,
-    require_invertible_cross,
     symmetric_sqrt,
     symmetrize,
 )
-from .errors import DimensionUnsupportedError, InfeasibleSigmaError, NegativeNoiseError
+from .errors import InfeasibleSigmaError, NegativeNoiseError
 
 # Threshold for the structural residual, which is divided by the largest
 # diagonal entry of the joint covariance: rescaling an instance moves neither.
@@ -114,30 +114,25 @@ def build_channel(
 ) -> TestChannel:
     """Synthesize the optimal channel achieving distortion covariance `sigma_delta`.
 
-    A channel exists exactly for Q_{X|S,Y} <= Sigma <= Q_{X|Y}, and the test
-    Q_W >= 0 alone decides it.  With M = Q_{X|Y} - Sigma, D = Sigma - Q_{X|S,Y}
-    and A = (Q_{X|Y} - Q_{X|S,Y})^{-1} = Q_{X,S|Y}^{-T} Q_{S|Y} Q_{X,S|Y}^{-1} > 0,
-    Q_W = M - M A M = D - D A D, so Q_W <= M and Q_W <= D <= Sigma: whenever
-    Q_W passes at `psd_tolerance` of Q_{X|Y}, Sigma >= 0 and M >= 0 hold at
-    the same tolerance, and they are not tested on their own.
+    A channel exists exactly for Q_{X|S,Y} <= Sigma <= Q_{X|Y}, that is
+    0 <= M <= B.  Two tests decide it, at `psd_tolerance` of Q_{X|Y}: M has
+    no part outside range(B), and Q_W = M - M B^+ M >= 0, which on range(B)
+    holds exactly when 0 <= M <= B.  Off range(B), Q_W >= 0 alone would pass
+    a Sigma below Q_{X|S,Y}.  With U_a the active right singular vectors of
+    F, range(B) = span(U_a) and B^+ = W W^T, W = U_a diag(1/s_a).
 
     Raises
     ------
-    DimensionUnsupportedError
-        n_x != n_s (the construction needs a square cross-covariance).
+    HypothesisViolatedError
+        Q_{S|Y} has no Cholesky factor (from `stats`).
     InfeasibleSigmaError
-        sigma_delta of the wrong shape, not finite or not symmetric.
-    SingularCrossError
-        Q_{X,S|Y} not invertible (a HypothesisViolatedError).
+        sigma_delta of the wrong shape, not finite or not symmetric, or M
+        with a part outside range(B).
     NegativeNoiseError
         Q_W has an eigenvalue below minus the tolerance: sigma_delta is outside
         [Q_{X|S,Y}, Q_{X|Y}] (an InfeasibleSigmaError).  Eigenvalues within
         the tolerance of zero are clamped.
     """
-    if spec.n_x != spec.n_s:
-        raise DimensionUnsupportedError(
-            f"channel synthesis requires n_x = n_s, got ({spec.n_x}, {spec.n_s})"
-        )
     sigma = np.asarray(sigma_delta, dtype=float)
     if sigma.shape != (spec.n_x, spec.n_x):
         raise InfeasibleSigmaError(
@@ -149,25 +144,32 @@ def build_channel(
     if np.linalg.norm(sigma - sigma.T, "fro") > SYM_TOL_SCALE * np.linalg.norm(sigma, "fro"):
         raise InfeasibleSigmaError("distortion covariance is not symmetric")
     sigma = symmetrize(sigma)
-    require_invertible_cross(stats)
 
     q_xy = stats.q_x_given_y
     tol = psd_tolerance(float(np.max(np.linalg.eigvalsh(q_xy))))
-    cross = stats.q_xs_given_y
     m = symmetrize(q_xy - sigma)  # = Q_{X_hat|Y}
-    h = np.linalg.solve(cross, m.T).T
-    q_w = symmetrize(m - h @ stats.q_s_given_y @ h.T)
+    u_a = stats.u[:, stats.active]
+    outside = float(np.linalg.norm(m - u_a @ (u_a.T @ m), "fro"))
+    if outside > tol:
+        raise InfeasibleSigmaError(
+            f"Q_{{X|Y}} - Sigma has a part of norm {outside:.3e} outside the range of "
+            "Q_{X|Y} - Q_{X|S,Y}: distortion covariance is outside [Q_{X|S,Y}, Q_{X|Y}]"
+        )
+    w = u_a / stats.s[stats.active]
+    m_w = m @ w
+    q_w = symmetrize(m - m_w @ m_w.T)
     w_eigs, w_vecs = np.linalg.eigh(q_w)
     if float(w_eigs[0]) < -tol:
         raise NegativeNoiseError(float(w_eigs[0]))
     if float(w_eigs[0]) < 0.0:
         q_w = symmetrize((w_vecs * np.maximum(w_eigs, 0.0)) @ w_vecs.T)
 
+    # C = Q_{X,S|Y}^T W, so H = M W C^T Q_{S|Y}^{-1}, and
+    # Q_{S|X_hat,Y} = Q_{S|Y} - C (W^T M W) C^T, free of any inverse of M.
+    c = stats.q_xs_given_y.T @ w
+    h = m_w @ np.linalg.solve(stats.q_s_given_y, c).T
     g = np.linalg.solve(spec.q_y, (spec.q_xy - h @ spec.q_sy).T).T
-    # Q_{S|X_hat,Y} = Q_{S|Y} - K^T M K with K = Q_{X,S|Y}^{-T} Q_{S|Y}: exact,
-    # since H Q_{S|Y} = M K, and free of any inverse of M.
-    k = np.linalg.solve(cross.T, stats.q_s_given_y)
-    q_s_post = symmetrize(stats.q_s_given_y - k.T @ m @ k)
+    q_s_post = symmetrize(stats.q_s_given_y - c @ (w.T @ m_w) @ c.T)
     return TestChannel(
         h=h,
         g=g,
@@ -228,8 +230,7 @@ def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> Structur
     sx = slice(0, spec.n_x)
     sxh = slice(spec.n_total, spec.n_total + spec.n_x)
     tail = slice(spec.n_x + spec.n_s, None)  # the (Y, X_hat) columns
-    scale = float(np.max(np.diagonal(spec.q)))
-    r_cond_mean = float(np.linalg.norm(joint[sx, tail] - joint[sxh, tail], "fro")) / scale
+    r_cond_mean = float(np.linalg.norm(joint[sx, tail] - joint[sxh, tail], "fro")) / spec.scale
     return StructuralReport(residuals={"cond_mean_identity": r_cond_mean})
 
 
@@ -253,7 +254,7 @@ def rate_of_channel(spec: GaussianSourceSpec, channel: TestChannel) -> ChannelRa
     Measurement side: 0.5 log det Q_{S|Y} / det Q_{S|X_hat,Y}, by Cholesky;
     ``inf`` when the posterior is not positive definite.  A prior that is not
     raises numpy.linalg.LinAlgError (a ValueError); no channel from
-    `build_channel` has one, as an invertible Q_{X,S|Y} forces Q_{S|Y} > 0.
+    `build_channel` has one, as it refuses a Q_{S|Y} with no Cholesky factor.
 
     Reproduction side: 0.5 log det M / det Q_W with M = Q_{X_hat|Y}, on the
     eigenvectors of M whose eigenvalues exceed `psd_tolerance` of

@@ -35,7 +35,7 @@ from .channel import (
 )
 from .core import conditional_stats
 from .errors import BelowRangeError, RemoteRdfError
-from .oracle import OracleResolution, brute_force_rdf, remark3_discrepancy
+from .oracle import OracleResolution, brute_force_rdf, remark3_discrepancy, require_grid_dimensions
 from .specfile import load_spec_file
 from .waterfill import distortion_range, rdf_curve, solve_waterfill, spectral_setup
 
@@ -270,11 +270,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     loaded = load_spec_file(args.spec)
     spec = loaded.spec
-    if spec.n_x != spec.n_s or spec.n_x > 2:
-        return _fail(
-            "brute force comparison supports n_x = n_s <= 2, "
-            f"got ({spec.n_x}, {spec.n_s})"
-        )
+    require_grid_dimensions(spec)  # before the solve, so its refusal is the one reported
     stats, _, sol = _solve(spec, args.delta)
     resolution = OracleResolution(
         eig_points=args.resolution, angle_points=args.angle_points

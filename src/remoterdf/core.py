@@ -4,7 +4,8 @@ The problem instance is the joint covariance of the zero-mean Gaussian vector
 (X, S, Y): X is the source (dimension n_x), S the measurement available to the
 encoder (n_s), Y the side information (n_y).  Everything downstream is a
 function of this matrix, so this module owns validation, the conditional
-(Schur-complement) statistics given Y, and the PSD square root for simulation.
+(Schur-complement) statistics given Y with their reduction, and the PSD
+square root for simulation.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotPSDError, NotSymmetricError, SingularCrossError, SingularYError
+from .errors import HypothesisViolatedError, NotPSDError, NotSymmetricError, SingularYError
 
 # Tolerances (double precision headroom at dimensions <= 64).
 SYM_TOL_SCALE = 1e-9   # asymmetry allowance, relative to ||Q||_F
 PSD_TOL_SCALE = 1e-9   # eigenvalue floor, relative to the largest eigenvalue
-INV_TOL = 1e-10        # strictly-positive-definite threshold
+INV_TOL = 1e-10        # invertibility threshold, relative to the scale it is tested at
 RANK_TOL = 1e-12       # singular values below RANK_TOL * sigma_max count as zero
 
 
@@ -55,6 +56,11 @@ class GaussianSourceSpec:
     @property
     def n_total(self) -> int:
         return self.n_x + self.n_s + self.n_y
+
+    @property
+    def scale(self) -> float:
+        """Largest diagonal entry of the joint: the unit of absolute thresholds."""
+        return float(np.max(np.diagonal(self.q)))
 
     # Block slices, in (X, S, Y) order.
     @property
@@ -98,8 +104,9 @@ class GaussianSourceSpec:
 class ConditionalStats:
     """The Schur complements given Y: Q_{X|Y}, Q_{S|Y} and Q_{X,S|Y}.
 
-    The paper's hypotheses and its water-filling solution are stated in
-    these three.
+    The cached properties hold the remote-source reduction F = V diag(s) U^T,
+    for any n_x, n_s and rank of Q_{X,S|Y}, each computed on first use and
+    shared by every stage that reads these stats.
     """
 
     q_x_given_y: np.ndarray
@@ -107,9 +114,33 @@ class ConditionalStats:
     q_xs_given_y: np.ndarray
 
     @cached_property
-    def cross_sigma_min(self) -> float:
-        """Smallest singular value of Q_{X,S|Y}, computed on first use only."""
-        return float(np.linalg.svd(self.q_xs_given_y, compute_uv=False)[-1])
+    def f(self) -> np.ndarray:
+        """F = L^{-1} Q_{X,S|Y}^T, L the Cholesky factor of Q_{S|Y}, so F^T F = B =
+        Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T.  A Q_{S|Y} with no L is refused."""
+        try:
+            chol = np.linalg.cholesky(self.q_s_given_y)
+        except np.linalg.LinAlgError:
+            low = float(np.linalg.eigvalsh(self.q_s_given_y)[0])
+            raise HypothesisViolatedError("Q_{S|Y} > 0", low) from None
+        return np.linalg.solve(chol, self.q_xs_given_y.T)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """F's singular values, descending, by the values-only SVD."""
+        return np.linalg.svd(self.f, compute_uv=False)
+
+    @cached_property
+    def active(self) -> np.ndarray:
+        """Indices of the s_i above RANK_TOL * s_max: the components S observes."""
+        return np.flatnonzero(self.s > RANK_TOL * self.s[0])
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """Right singular vectors of F, paired with `s`, each with its first
+        largest-magnitude entry positive."""
+        u = np.linalg.svd(self.f, full_matrices=False)[2].T
+        lead = np.argmax(np.abs(u), axis=0)
+        return u * np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSourceSpec:
@@ -154,9 +185,11 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
     q.setflags(write=False)
     spec = GaussianSourceSpec(n_x=n_x, n_s=n_s, n_y=n_y, q=q, sym_residual=sym_residual)
 
+    # Against Q_Y's own scale: the problem is unchanged by Y -> cY, and a Y
+    # in units far from X's (say Var X = 1e24, Var Y = 1) is a valid instance.
     y_eigs = np.linalg.eigvalsh(spec.q_y)
-    if float(y_eigs[0]) <= INV_TOL:
-        raise SingularYError(float(y_eigs[0]), INV_TOL)
+    if float(y_eigs[0]) <= INV_TOL * float(y_eigs[-1]):
+        raise SingularYError(float(y_eigs[0]), INV_TOL * float(y_eigs[-1]))
     return spec
 
 
@@ -179,12 +212,6 @@ def conditional_stats(spec: GaussianSourceSpec) -> ConditionalStats:
         q_s_given_y=q_s_given_y,
         q_xs_given_y=q_xs_given_y,
     )
-
-
-def require_invertible_cross(stats: ConditionalStats) -> None:
-    """Raise SingularCrossError unless Q_{X,S|Y}'s smallest singular value exceeds INV_TOL."""
-    if stats.cross_sigma_min <= INV_TOL:
-        raise SingularCrossError(stats.cross_sigma_min)
 
 
 def symmetric_sqrt(m: np.ndarray) -> np.ndarray:

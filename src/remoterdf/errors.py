@@ -62,13 +62,6 @@ class HypothesisViolatedError(RemoteRdfError):
         super().__init__(f"hypothesis violated: {hypothesis} (offending value {value:.3e})")
 
 
-class SingularCrossError(HypothesisViolatedError):
-    """Q_{X,S|Y} is not invertible; `value` is its smallest singular value."""
-
-    def __init__(self, min_singular_value: float):
-        super().__init__("Q_{X,S|Y} must be invertible", min_singular_value)
-
-
 class BelowRangeError(RemoteRdfError):
     """Requested distortion is at or below the finite-rate lower boundary."""
 
@@ -82,7 +75,7 @@ class BelowRangeError(RemoteRdfError):
 
 
 class DimensionUnsupportedError(RemoteRdfError):
-    """Operation requires equal (and small, for the oracle) source/measurement dims."""
+    """The brute-force oracle supports only n_x = n_s in {1, 2}."""
 
 
 class ResolutionTooCoarseError(RemoteRdfError):

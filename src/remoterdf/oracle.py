@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GaussianSourceSpec, conditional_stats, require_invertible_cross
-from .errors import DimensionUnsupportedError, ResolutionTooCoarseError
+from .core import INV_TOL, GaussianSourceSpec, conditional_stats
+from .errors import DimensionUnsupportedError, HypothesisViolatedError, ResolutionTooCoarseError
 
 # A prior-work noise variance this many times the correct channel's output
 # variance is reported as divergent.
@@ -152,6 +152,14 @@ def remark3_discrepancy(q_xy: float, deltas) -> list[Remark3Row]:
     return rows
 
 
+def require_grid_dimensions(spec: GaussianSourceSpec) -> None:
+    """Raise DimensionUnsupportedError unless n_x = n_s in {1, 2}, as the grid needs."""
+    if spec.n_x != spec.n_s or spec.n_x not in (1, 2):
+        raise DimensionUnsupportedError(
+            f"brute force supports n_x = n_s in {{1, 2}}, got ({spec.n_x}, {spec.n_s})"
+        )
+
+
 def brute_force_rdf(
     spec: GaussianSourceSpec, delta: float, resolution: OracleResolution | None = None
 ) -> OracleResult:
@@ -184,21 +192,20 @@ def brute_force_rdf(
         n_x != n_s or n_x not in {1, 2}.
     ValueError
         delta not finite and positive, or a resolution below the minimum.
-    SingularCrossError
-        Q_{X,S|Y} not invertible (a HypothesisViolatedError).
+    HypothesisViolatedError
+        Q_{X,S|Y} singular (against INV_TOL * spec.scale): the grid inverts it.
     ResolutionTooCoarseError
         Fewer than 10 feasible candidates.
     """
-    if spec.n_x != spec.n_s or spec.n_x not in (1, 2):
-        raise DimensionUnsupportedError(
-            f"brute force supports n_x = n_s in {{1, 2}}, got ({spec.n_x}, {spec.n_s})"
-        )
+    require_grid_dimensions(spec)
     _check_distortion(delta)
     res = resolution or OracleResolution()
     if res.eig_points < 2 or res.angle_points < 1:
         raise ValueError("resolution must have at least 2 eigenvalue and 1 angle point")
     stats = conditional_stats(spec)
-    require_invertible_cross(stats)
+    cross_min = float(np.linalg.svd(stats.q_xs_given_y, compute_uv=False)[-1])
+    if cross_min <= INV_TOL * spec.scale:
+        raise HypothesisViolatedError("Q_{X,S|Y} must be invertible", cross_min)
 
     target = float(np.trace(stats.q_x_given_y)) - float(delta)
 

@@ -4,8 +4,9 @@ The remote-source reduction gives parallel components: with Q_{S|Y} = L L^T
 (Cholesky), F = L^{-1} Q_{X,S|Y}^T = V diag(s) U^T and d_i = 1/s_i, the
 matrix B = F^T F = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T is the covariance of
 E[X|S,Y] given Y, the reproduction covariance given Y is U diag(lambda) U^T
-and the rate is 0.5 * sum(log(1/(1 - lambda_i d_i^2))).
-The allocations follow a water level xi:
+and the rate is 0.5 * sum(log(1/(1 - lambda_i d_i^2))), for any n_x, n_s
+and rank of Q_{X,S|Y}.  The allocations of the active components (s_i above
+RANK_TOL * s_max; the others S does not observe) follow a water level xi:
 
     lambda_i = 1/d_i^2 - 1/(2 xi)   when xi > d_i^2 / 2, else 0
 
@@ -17,7 +18,8 @@ d_i ascending, the k components with the largest 1/d_i^2 are active and
 
 Distortions at or below delta_min = trace(Q_{X|Y}) - sum(1/d_i^2) =
 trace(Q_{X|S,Y}) carry infinite rate and are rejected; distortions above
-delta_plus = trace(Q_{X|Y}) need no coding and return a flagged zero-rate one.
+delta_plus = trace(Q_{X|Y}) need no coding and return a flagged zero-rate
+one.  With no active component, delta_min = delta_plus, solved at rate 0.
 
 One solver, `_water_levels`, finds the level for a whole array of
 distortions at once.  `rdf_curve` hands it the grid in blocks of about
@@ -33,20 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    RANK_TOL,
-    ConditionalStats,
-    GaussianSourceSpec,
-    conditional_stats,
-    require_invertible_cross,
-    symmetrize,
-)
-from .errors import BelowRangeError, HypothesisViolatedError
+from .core import ConditionalStats, GaussianSourceSpec, conditional_stats, symmetrize
+from .errors import BelowRangeError
 
 # Allocation entries (points x active components) rdf_curve solves at once.
 # The solver's working arrays are a few times this size, so a curve's memory
@@ -64,31 +58,17 @@ STEP_DOWN_LIMIT = 2200
 
 @dataclass(frozen=True)
 class SpectralSetup:
-    """The whitened cross-covariance F and its singular values.
+    """The reduction of `stats` in water-filling terms: d_i = 1/s_i ascending
+    (infinite where s_i = 0), the stats' `active` and their d_i^2 `d_sq`, and
+    the trace of Q_{X|Y} (delta_plus) and `delta_min`, so that solving at any
+    distortion needs no further conditional statistics."""
 
-    `f` is F = L^{-1} Q_{X,S|Y}^T, L the Cholesky factor of Q_{S|Y}, so
-    F^T F = B = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T.  `d` holds d_i = 1/s_i,
-    ascending, s_i the singular values of F; `active` indexes the s_i above
-    RANK_TOL * s_max (components S observes) and `d_sq` holds their d_i^2.
-    `q_x_given_y`, its trace (delta_plus) and `delta_min` are carried so
-    that solving at any distortion needs no further conditional statistics.
-    """
-
-    f: np.ndarray
+    stats: ConditionalStats
     d: np.ndarray
     active: np.ndarray
-    q_x_given_y: np.ndarray
     d_sq: np.ndarray
     trace_xy: float
     delta_min: float
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        """Right singular vectors of F, paired with `d`, each with its first
-        largest-magnitude entry positive; computed on first use only."""
-        u = np.linalg.svd(self.f, full_matrices=False)[2].T
-        lead = np.argmax(np.abs(u), axis=0)
-        return u * np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -127,40 +107,28 @@ class RdfCurve:
 
 
 def spectral_setup(spec: GaussianSourceSpec, stats: ConditionalStats) -> SpectralSetup:
-    """Build the reduction on the Cholesky factor of Q_{S|Y}, enforcing its hypotheses.
-
-    Checks that n_x = n_s and that Q_{X,S|Y} is invertible (against INV_TOL),
-    then refuses a Q_{S|Y} with no Cholesky factor, reporting its smallest
-    eigenvalue; one that factors is used as it is, small eigenvalues and all.
-    Q_{X|Y} >= B > 0 follows, so neither Q_{X|Y} > Q_{X|S,Y} nor Q_{X|Y} > 0
-    is tested.  Only the singular values of F are computed here.
+    """Set up water-filling on the reduction of `stats`, for any n_x, n_s and
+    rank of Q_{X,S|Y}.  Only a Q_{S|Y} with no Cholesky factor is refused
+    (HypothesisViolatedError "Q_{S|Y} > 0"); no singular vector is computed.
     """
-    if spec.n_x != spec.n_s:
-        raise HypothesisViolatedError(
-            f"source and measurement dimensions must match (n_x={spec.n_x}, n_s={spec.n_s})",
-            float(spec.n_x - spec.n_s),
-        )
-    require_invertible_cross(stats)
-    try:
-        chol = np.linalg.cholesky(stats.q_s_given_y)
-    except np.linalg.LinAlgError:
-        low = float(np.linalg.eigvalsh(stats.q_s_given_y)[0])
-        raise HypothesisViolatedError("Q_{S|Y} > 0", low) from None
-
-    f = np.linalg.solve(chol, stats.q_xs_given_y.T)
-    s = np.linalg.svd(f, compute_uv=False)
-    active = np.flatnonzero(s > RANK_TOL * s[0])
-    d = 1.0 / s
-    d_sq = d[active] ** 2
+    with np.errstate(divide="ignore"):
+        d = 1.0 / stats.s  # infinite for a component S does not observe
+    d_sq = d[stats.active] ** 2
     trace_xy = float(np.trace(stats.q_x_given_y))
     # delta_min is the capacity sum(1/d_sq) the water level fills, not sum(s^2).
-    return SpectralSetup(f=f, d=d, active=active, q_x_given_y=stats.q_x_given_y, d_sq=d_sq,
+    return SpectralSetup(stats=stats, d=d, active=stats.active, d_sq=d_sq,
                          trace_xy=trace_xy, delta_min=trace_xy - float(np.sum(1.0 / d_sq)))
 
 
 def distortion_range(spec: GaussianSourceSpec, setup: SpectralSetup) -> tuple[float, float]:
     """Boundaries (delta_min, delta_plus) of the finite-rate distortion regime."""
     return setup.delta_min, setup.trace_xy
+
+
+def _finite_rate(setup: SpectralSetup, deltas):
+    """Which distortions have a finite rate: those above delta_min, and
+    delta_plus when it equals delta_min (no active component)."""
+    return (deltas > setup.delta_min) | (deltas >= setup.trace_xy)
 
 
 def _water_levels(
@@ -181,7 +149,7 @@ def _water_levels(
     error of the target is recovered exactly (Fast2Sum, as delta <=
     trace_xy) and taken off C_k - target, so a delta far below trace_xy
     keeps its digits.  A delta above trace_xy needs no allocation: its level
-    is d_sq[0] / 2 and its allocations are zero.
+    is d_sq[0] / 2 and its allocations are zero.  With `d_sq` empty, all are zero.
 
     Invariant: each row of allocations sums to at most its target, so the
     rate is never above the true optimum and a grid-search oracle can never
@@ -201,6 +169,9 @@ def _water_levels(
     once; the shorter k log(2 xi) - sum(log d_i^2) subtracts two terms far
     larger than the rate and loses several times more of its digits there.
     """
+    if not d_sq.size:  # no active component: only delta >= trace_xy gets here
+        zeros = np.zeros(deltas.size)
+        return zeros, np.zeros((deltas.size, 0)), zeros, zeros.astype(int)
     above = deltas > trace_xy
     deltas = np.minimum(deltas, trace_xy)
     target = trace_xy - deltas
@@ -237,7 +208,8 @@ def solve_waterfill(
     """Solve the allocation problem at distortion `delta`.
 
     Raises ValueError for a NaN or infinite delta and BelowRangeError for
-    delta <= delta_min (infinite rate).  For delta > delta_plus no rate is
+    delta <= delta_min (infinite rate), unless delta_min = delta_plus (no
+    active component) and delta is that.  For delta > delta_plus no rate is
     needed: the solution is returned with all allocations zero and
     `above_range` set instead of raising.  The level comes from the grid
     solver on a one-point grid; only the covariances are built here.
@@ -245,7 +217,7 @@ def solve_waterfill(
     delta = float(delta)
     if not math.isfinite(delta):
         raise ValueError(f"distortion must be finite, got {delta!r}")
-    if delta <= setup.delta_min:
+    if not _finite_rate(setup, delta):
         raise BelowRangeError(delta, setup.delta_min)
 
     xi, lam_act, rate, _ = _water_levels(setup.d_sq, setup.trace_xy, np.array([delta]))
@@ -256,8 +228,9 @@ def solve_waterfill(
     if not above_range:
         water_error = abs(float(np.sum(lam_act[0])) - (setup.trace_xy - delta))
 
-    q_xhat = symmetrize((setup.u * lam) @ setup.u.T)
-    sigma_delta = symmetrize(setup.q_x_given_y - q_xhat)
+    u = setup.stats.u
+    q_xhat = symmetrize((u * lam) @ u.T)
+    sigma_delta = symmetrize(setup.stats.q_x_given_y - q_xhat)
     return WaterfillSolution(
         delta=delta,
         rate=float(rate[0]),
@@ -272,7 +245,7 @@ def solve_waterfill(
 def rdf_curve(spec: GaussianSourceSpec, deltas) -> RdfCurve:
     """Sweep the rate-distortion curve over an ascending distortion grid.
 
-    Points at or below delta_min are annotated (feasible=False,
+    Points without a finite rate (as in `solve_waterfill`) are annotated (feasible=False,
     error="below_range"), as are NaN or infinite points (error="non_finite"),
     and the sweep continues; the finite points must be ascending.  The
     feasible points go to the grid solver in blocks of about CURVE_BLOCK
@@ -288,12 +261,12 @@ def rdf_curve(spec: GaussianSourceSpec, deltas) -> RdfCurve:
     if np.any(ordered[1:] < ordered[:-1]):
         raise ValueError("distortion grid must be sorted ascending")
     setup = spectral_setup(spec, conditional_stats(spec))
-    feasible = finite & (grid > setup.delta_min)
+    feasible = finite & _finite_rate(setup, grid)
     xi = np.zeros(grid.size)
     rate = np.zeros(grid.size)
     count = np.zeros(grid.size, dtype=int)
     solved = np.flatnonzero(feasible)
-    step = max(1, CURVE_BLOCK // setup.d_sq.size)
+    step = max(1, CURVE_BLOCK // max(1, setup.d_sq.size))
     for start in range(0, solved.size, step):
         block = solved[start : start + step]
         xi[block], _, rate[block], count[block] = _water_levels(

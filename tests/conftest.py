@@ -259,6 +259,37 @@ def generated_spec(rng: np.random.Generator, n: int, n_y: int) -> GaussianSource
     return validate_spec(0.5 * (q + q.T), (n, n, n_y))
 
 
+def rectangular_spec(rng: np.random.Generator, n_x: int, n_s: int, n_y: int) -> GaussianSourceSpec:
+    """Spec of X ~ N(0, P), S = A X + N_s with A of shape (n_s, n_x), and
+    Y = B X + N_y, with independent noises and spectra from fixed ranges.
+
+    B = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T has rank min(n_x, n_s), so for
+    n_s < n_x some components of X are never observed.
+    """
+    u, _ = np.linalg.qr(rng.standard_normal((n_x, n_x)))
+    p = (u * rng.uniform(0.3, 1.5, n_x)) @ u.T
+    left, _ = np.linalg.qr(rng.standard_normal((n_s, n_s)))
+    right, _ = np.linalg.qr(rng.standard_normal((n_x, n_x)))
+    k = min(n_x, n_s)
+    a = (left[:, :k] * rng.uniform(0.5, 1.5, k)) @ right[:, :k].T
+    mix = np.vstack([np.eye(n_x), a, rng.standard_normal((n_y, n_x)) / np.sqrt(n_x)])
+    noise = np.concatenate([np.zeros(n_x), rng.uniform(0.1, 1.0, n_s), rng.uniform(0.2, 1.0, n_y)])
+    q = mix @ p @ mix.T + np.diag(noise)
+    return validate_spec(0.5 * (q + q.T), (n_x, n_s, n_y))
+
+
+def reverse_waterfill_rate(c: np.ndarray, target: float) -> float:
+    """Reverse water-filling rate 0.5 sum(log(c_i / theta)) over the c_i above
+    the level theta at which sum(max(0, c_i - theta)) = target, 0 < target
+    < sum(c); written out per active count, independently of the package."""
+    c = np.sort(np.asarray(c, dtype=float))[::-1]
+    for k in range(1, c.size + 1):
+        theta = (float(np.sum(c[:k])) - target) / k
+        if k == c.size or theta >= c[k]:
+            return 0.5 * float(np.sum(np.log(c[:k] / theta)))
+    raise AssertionError("unreachable")
+
+
 @pytest.fixture
 def make_spec():
     return random_feasible_spec

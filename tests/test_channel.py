@@ -18,21 +18,19 @@ from remoterdf.channel import (
     verify_structure,
 )
 from remoterdf.core import conditional_stats, psd_tolerance, symmetric_sqrt, validate_spec
-from remoterdf.errors import (
-    DimensionUnsupportedError,
-    HypothesisViolatedError,
-    InfeasibleSigmaError,
-    NegativeNoiseError,
-    SingularCrossError,
-)
+from remoterdf.errors import HypothesisViolatedError, InfeasibleSigmaError, NegativeNoiseError
 from remoterdf.oracle import brute_force_rdf, wyner_scalar_rdf
 from remoterdf.waterfill import distortion_range, solve_waterfill, spectral_setup
 
 from conftest import (
     SCALAR_Q,
+    conditional_covariance,
+    gaussian_cmi,
     generated_spec,
     q_x_given_sy,
     random_feasible_spec,
+    rectangular_spec,
+    reverse_waterfill_rate,
     simulate_whole_array,
     singular_cross_spec,
     three_test_sigma_rule,
@@ -121,12 +119,33 @@ class TestBuildChannel:
         with pytest.raises(NegativeNoiseError):
             channel_at(scalar_spec, 0.2)
 
-    def test_singular_cross_rejected(self):
+    def test_singular_cross_solved(self):
+        # S says nothing about X given Y: the only feasible Sigma is Q_{X|Y},
+        # reached at zero rate by a channel that transmits nothing.
         spec = validate_spec(np.eye(3), (1, 1, 1))
-        with pytest.raises(SingularCrossError):
+        ch = channel_at(spec, 1.0)
+        assert ch.h[0, 0] == 0.0 and ch.q_w[0, 0] == 0.0
+        assert rate_of_channel(spec, ch).rate == 0.0
+        assert verify_structure(spec, ch).all_pass
+        with pytest.raises(InfeasibleSigmaError, match="outside the range"):
             channel_at(spec, 0.5)
+        # Q_{X,S|Y} = diag(1, 0), Q_{S|Y} = 2 I, Q_{X|Y} = I: one component
+        # with B's eigenvalue 1/2, so delta_min = 1.5 and the rate is
+        # 0.5 ln(0.5 / (delta - 1.5)) on (1.5, 2).
+        spec = singular_cross_spec([1.0, 0.0])
+        for frac in (0.1, 0.5, 0.9):
+            ch, sol = waterfill_channel(spec, frac)
+            assert sol.delta == pytest.approx(1.5 + 0.5 * frac, rel=1e-15)
+            expected = 0.5 * math.log(0.5 / (sol.delta - 1.5))
+            rates = rate_of_channel(spec, ch)
+            assert sol.rate == pytest.approx(expected, rel=1e-12)
+            assert (rates.rate, rates.rate_alt) == pytest.approx((expected, expected), rel=1e-12)
+            assert verify_structure(spec, ch).all_pass
 
-    def test_dimension_mismatch_rejected(self):
+    def test_dimension_mismatch_solved(self):
+        # n_x = 2, n_s = 1: B = c c^T / q_s has one eigenvalue, |c|^2 / q_s,
+        # so the rate is 0.5 ln(b / (delta - delta_min)).  The joint
+        # covariance the channel induces gives the same I(S; X_hat | Y).
         rng = np.random.default_rng(52)
         for _ in range(50):
             a = rng.standard_normal((4, 6))
@@ -135,9 +154,22 @@ class TestBuildChannel:
                 break
             except Exception:
                 continue
-        with pytest.raises(DimensionUnsupportedError):
-            build_channel(spec, conditional_stats(spec), np.eye(2) * 0.01)
-
+        stats = conditional_stats(spec)
+        c = stats.q_xs_given_y[:, 0]
+        b = float(c @ c) / float(stats.q_s_given_y[0, 0])
+        lo, hi = distortion_range(spec, spectral_setup(spec, stats))
+        assert lo == pytest.approx(hi - b, rel=1e-12)
+        for frac in (0.1, 0.5, 0.9):
+            ch, sol = waterfill_channel(spec, frac)
+            expected = 0.5 * math.log(b / (sol.delta - lo))
+            assert sol.rate == pytest.approx(expected, rel=1e-12)
+            assert float(np.trace(ch.sigma_delta)) == pytest.approx(sol.delta, rel=1e-14)
+            joint = joint_with_reproduction(spec, ch)
+            prior = conditional_covariance(joint, [2], [3])
+            posterior = conditional_covariance(joint, [2], [3, 4, 5])
+            assert gaussian_cmi(prior, posterior) == pytest.approx(expected, rel=1e-9)
+            assert rate_of_channel(spec, ch).rate == pytest.approx(expected, rel=1e-12)
+            assert verify_structure(spec, ch).all_pass
 
     @pytest.mark.parametrize("c", [1.0, 1e-9])
     def test_asymmetric_sigma_refused_at_every_scale(self, c):
@@ -164,6 +196,14 @@ def tiny_component_spec():
     return validate_spec(q, (2, 2, 1))
 
 
+def generated_spec_3_1():
+    """X of dimension 3 observed through one noisy measurement S = a^T X + N."""
+    rng = np.random.default_rng(31)
+    mix = np.vstack([np.eye(3), rng.uniform(0.5, 1.5, 3), rng.standard_normal(3) / 3])
+    q = mix @ np.diag([1.0, 0.7, 0.4]) @ mix.T + np.diag([0.0, 0.0, 0.0, 0.3, 0.5])
+    return validate_spec(q, (3, 1, 1))
+
+
 def sigma_refused(check, *args) -> bool:
     try:
         check(*args)
@@ -173,8 +213,8 @@ def sigma_refused(check, *args) -> bool:
 
 
 class TestRefusals:
-    """Each refusal happens once: Q_W >= 0 decides Sigma, and one gate tests
-    Q_{X,S|Y} for every stage."""
+    """Each refusal happens once: Q_W >= 0 and the range test decide Sigma,
+    and only the grid oracle, which inverts Q_{X,S|Y}, tests it."""
 
     @staticmethod
     def assert_same_verdicts(spec, anchor, extra, rng):
@@ -257,22 +297,52 @@ class TestRefusals:
         assert verify_structure(spec, ch).all_pass
 
     @pytest.mark.parametrize(
-        "spec",
-        [validate_spec(np.eye(3), (1, 1, 1)), singular_cross_spec([1e-11]),
-         singular_cross_spec([0.5, 0.0])],
+        "spec, delta_min, active",
+        [(validate_spec(np.eye(3), (1, 1, 1)), 1.0, 0),
+         (singular_cross_spec([1e-11]), 1.0 - 0.5e-22, 1),
+         (singular_cross_spec([0.5, 0.0]), 1.875, 1)],
         ids=["identity", "1x1", "2x2"],
     )
     @pytest.mark.parametrize("stage", ["spectral_setup", "build_channel", "brute_force_rdf"])
-    def test_one_gate_for_singular_cross(self, spec, stage):
+    def test_one_gate_for_singular_cross(self, spec, delta_min, active, stage):
+        # Only the grid oracle, whose parametrization inverts Q_{X,S|Y},
+        # refuses a singular one.  The solver stages solve the instance:
+        # B = diag(cross^2 / 2) here, and Sigma = Q_{X|Y} is its zero-rate
+        # channel.
         stats = conditional_stats(spec)
-        run = {
-            "spectral_setup": lambda: spectral_setup(spec, stats),
-            "build_channel": lambda: build_channel(spec, stats, stats.q_x_given_y),
-            "brute_force_rdf": lambda: brute_force_rdf(spec, 0.5),
-        }[stage]
-        with pytest.raises(HypothesisViolatedError) as refusal:
-            run()
-        assert refusal.value.hypothesis == "Q_{X,S|Y} must be invertible"
+        if stage == "brute_force_rdf":
+            with pytest.raises(HypothesisViolatedError) as refusal:
+                brute_force_rdf(spec, 0.5)
+            assert refusal.value.hypothesis == "Q_{X,S|Y} must be invertible"
+        elif stage == "spectral_setup":
+            setup = spectral_setup(spec, stats)
+            assert setup.delta_min == pytest.approx(delta_min, rel=1e-15)
+            assert setup.active.size == active
+        else:
+            ch = build_channel(spec, stats, stats.q_x_given_y)
+            assert np.all(ch.h == 0.0) and np.all(ch.q_w == 0.0)
+            assert rate_of_channel(spec, ch).rate == 0.0
+            assert verify_structure(spec, ch).all_pass
+
+    @pytest.mark.parametrize("make", [lambda: singular_cross_spec([1.0, 0.0]), generated_spec_3_1],
+                             ids=["singular-cross", "n_s-below-n_x"])
+    def test_range_test_refuses_what_q_w_alone_passes(self, make):
+        # Moving the optimal Sigma below Q_{X|S,Y} along a null vector v of
+        # F by 10 tol leaves Q_W = M - M B^+ M >= 0 (B^+ v = 0), so only the
+        # range test can refuse it.
+        spec = make()
+        stats = conditional_stats(spec)
+        ch, sol = waterfill_channel(spec, 0.5)
+        tol = psd_tolerance(float(np.max(np.linalg.eigvalsh(stats.q_x_given_y))))
+        v = np.linalg.svd(stats.f)[2][-1]
+        assert np.linalg.norm(stats.f @ v) <= 1e-15 * np.linalg.norm(stats.f)
+        sigma = sol.sigma_delta - 10.0 * tol * np.outer(v, v)
+        m = stats.q_x_given_y - sigma
+        w = stats.u[:, stats.active] / stats.s[stats.active]
+        b_pinv = w @ w.T
+        assert np.min(np.linalg.eigvalsh(m - m @ b_pinv @ m)) >= -tol
+        with pytest.raises(InfeasibleSigmaError, match="outside the range"):
+            build_channel(spec, stats, sigma)
 
 
 class TestDecoderOnlyForm:
@@ -455,6 +525,75 @@ class TestScaleInvariance:
     def test_generated_specs(self, n, seed, frac, log10_c):
         spec = generated_spec(np.random.default_rng(seed), n, max(1, n // 4))
         self.assert_invariant(spec.q, (n, n, max(1, n // 4)), 10.0**log10_c, frac)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 1), (2, 2), (8, 8), (3, 1), (3, 2), (2, 4), (5, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+        frac=st.floats(0.05, 0.95),
+        log10_c=st.floats(-12.0, 12.0),
+    )
+    def test_any_shape_from_1e_minus_12_to_1e12(self, shape, seed, frac, log10_c):
+        spec = rectangular_spec(np.random.default_rng(seed), *shape, 2)
+        self.assert_invariant(spec.q, (*shape, 2), 10.0**log10_c, frac)
+
+
+def with_measurement(spec, a, noise):
+    """Spec of (X, (A S, N), Y), N independent of (X, S, Y) with covariance
+    diag(noise): for A invertible, S' = (A S, N) tells as much about X as S."""
+    n_x, n_s, n_y, k = spec.n_x, spec.n_s, spec.n_y, len(noise)
+    joint = np.zeros((spec.n_total + k, spec.n_total + k))
+    joint[: spec.n_total, : spec.n_total] = spec.q
+    joint[spec.n_total :, spec.n_total :] = np.diag(noise)
+    mix = np.zeros((spec.n_total + k, spec.n_total + k))  # (X, S, Y, N) -> (X, A S, N, Y)
+    mix[:n_x, :n_x] = np.eye(n_x)
+    mix[n_x : n_x + n_s, n_x : n_x + n_s] = a
+    mix[n_x + n_s : n_x + n_s + k, spec.n_total :] = np.eye(k)
+    mix[n_x + n_s + k :, n_x + n_s : spec.n_total] = np.eye(n_y)
+    return validate_spec(mix @ joint @ mix.T, (n_x, n_s + k, n_y))
+
+
+class TestReductionInvariance:
+    """The reduction depends on S only through what it says about X."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 1), (2, 2), (8, 8), (3, 1), (2, 4)]),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        frac=st.floats(0.05, 0.95),
+    )
+    def test_invariant_under_invertible_map_and_independent_noise(self, shape, k, seed, frac):
+        rng = np.random.default_rng(seed)
+        spec = rectangular_spec(rng, *shape, 2)
+        left, _ = np.linalg.qr(rng.standard_normal((shape[1], shape[1])))
+        right, _ = np.linalg.qr(rng.standard_normal((shape[1], shape[1])))
+        a = (left * rng.uniform(0.5, 2.0, shape[1])) @ right
+        other = with_measurement(spec, a, rng.uniform(0.1, 2.0, k))
+        before = scaled_outcome(spec.q, (spec.n_x, spec.n_s, spec.n_y), 1.0, frac)
+        after = scaled_outcome(other.q, (other.n_x, other.n_s, other.n_y), 1.0, frac)
+        assert after[:2] == pytest.approx(before[:2], rel=1e-9)
+        assert before[2] and after[2]
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from([(2, 1), (3, 1), (3, 2), (5, 3), (8, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+        frac=st.floats(0.05, 0.95),
+    )
+    def test_fewer_measurements_water_fill_the_nonzero_spectrum(self, shape, seed, frac):
+        # B = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T has n_s nonzero eigenvalues;
+        # the rate is reverse water-filling on them alone.
+        spec = rectangular_spec(np.random.default_rng(seed), *shape, 2)
+        stats = conditional_stats(spec)
+        cross = stats.q_xs_given_y
+        b = np.linalg.eigvalsh(cross @ np.linalg.solve(stats.q_s_given_y, cross.T))[-shape[1]:]
+        ch, sol = waterfill_channel(spec, frac)
+        target = float(np.trace(stats.q_x_given_y)) - sol.delta
+        expected = reverse_waterfill_rate(b, target)
+        assert sol.rate == pytest.approx(expected, rel=1e-9)
+        assert rate_of_channel(spec, ch).rate == pytest.approx(expected, rel=1e-9)
+        assert verify_structure(spec, ch).all_pass
 
 
 class TestRateOfChannel:

@@ -11,7 +11,13 @@ from remoterdf.channel import build_channel
 from remoterdf.cli import CURVE_HEADER, MIN_SAMPLES, REMARK3_HEADER, main, parse_curve_csv
 from remoterdf.core import conditional_stats
 
-from conftest import SCALAR_Q, generated_spec, random_feasible_spec
+from conftest import (
+    SCALAR_Q,
+    generated_spec,
+    random_feasible_spec,
+    rectangular_spec,
+    singular_cross_spec,
+)
 
 
 @pytest.fixture
@@ -22,6 +28,13 @@ def spec_path(tmp_path):
         "label": "scalar-example",
     }
     path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def write_spec(tmp_path, q, dims) -> str:
+    path = tmp_path / "spec.json"
+    doc = {"dims": dict(zip(("n_x", "n_s", "n_y"), dims)), "covariance": np.asarray(q).tolist()}
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
@@ -317,6 +330,53 @@ class TestOracle:
         code, _, err = run(capsys, ["oracle", str(path), "--delta", "0.5"])
         assert code == 1
         assert "brute force" in err
+
+
+class TestAnyShapeAndScale:
+    """curve, channel and verify solve every instance the reduction covers."""
+
+    @pytest.mark.parametrize("c", [1e-10, 1e-11])
+    def test_tiny_unit_readme_spec_gives_the_unscaled_rate(self, capsys, tmp_path, c):
+        # Refused at the unscaled thresholds once: x1e-10 as a singular
+        # Q_{X,S|Y}, x1e-11 as a singular Q_Y.
+        path = write_spec(tmp_path, c * SCALAR_Q, (1, 1, 1))
+        code, out, _ = run(capsys, ["curve", path, "--deltas", f"{0.3 * c!r},{0.45 * c!r}",
+                                    "--format", "json"])
+        assert code == 0
+        unscaled = [0.5 * math.log(0.25 / (d - 0.25)) for d in (0.3, 0.45)]
+        rates = [r["rate_nats"] for r in json.loads(out)["records"]]
+        assert rates == pytest.approx(unscaled, rel=1e-12)
+        code, out, _ = run(capsys, ["channel", path, "--delta", repr(0.375 * c)])
+        doc = json.loads(out)
+        assert code == 0 and doc["structural_pass"]
+        assert (doc["rates"]["nats"], doc["rates"]["alt_nats"]) == pytest.approx(
+            (0.5 * math.log(2.0),) * 2, rel=1e-12)
+        code, out, _ = run(capsys, ["verify", path, "--delta", repr(0.375 * c),
+                                    "--samples", "20000"])
+        assert (code, json.loads(out)["verdict"]) == (0, "pass")
+
+    @pytest.mark.parametrize(
+        "make", [lambda: rectangular_spec(np.random.default_rng(4), 3, 1, 1),
+                 lambda: singular_cross_spec([1.0, 0.0])],
+        ids=["n_s-below-n_x", "singular-cross"])
+    def test_non_square_and_singular_cross_specs(self, capsys, tmp_path, make):
+        spec = make()
+        stats = conditional_stats(spec)
+        cross = stats.q_xs_given_y
+        b = float(np.max(np.linalg.eigvalsh(cross @ np.linalg.solve(stats.q_s_given_y, cross.T))))
+        hi = float(np.trace(stats.q_x_given_y))
+        delta = hi - 0.5 * b  # one component: rate 0.5 ln(b / (b - (hi - delta)))
+        path = write_spec(tmp_path, spec.q, (spec.n_x, spec.n_s, spec.n_y))
+        code, out, _ = run(capsys, ["channel", path, "--delta", repr(delta)])
+        doc = json.loads(out)
+        assert code == 0 and doc["structural_pass"]
+        assert doc["delta_range"]["min"] == pytest.approx(hi - b, rel=1e-12)
+        assert doc["rates"]["nats"] == pytest.approx(0.5 * math.log(2.0), rel=1e-12)
+        code, out, _ = run(capsys, ["curve", path, "--deltas", repr(delta), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["records"][0]["rate_nats"] == pytest.approx(0.5 * math.log(2.0))
+        code, out, _ = run(capsys, ["verify", path, "--delta", repr(delta), "--samples", "20000"])
+        assert (code, json.loads(out)["verdict"]) == (0, "pass")
 
 
 class TestRemark3:

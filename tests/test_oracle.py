@@ -1,5 +1,6 @@
 import ast
 import math
+from functools import cached_property
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import remoterdf.oracle
-from remoterdf.core import conditional_stats, validate_spec
+from remoterdf.core import ConditionalStats, conditional_stats, validate_spec
 from remoterdf.errors import (
     DimensionUnsupportedError,
     HypothesisViolatedError,
@@ -242,7 +243,8 @@ def mid_range(spec) -> float:
 
 def test_oracle_shares_no_code_with_the_solver():
     # The oracle is the independent check on water-filling and on the
-    # channel synthesis, so it may not import either.
+    # channel synthesis, so it may not import either, nor read the
+    # reduction that `ConditionalStats` caches for them.
     tree = ast.parse(Path(remoterdf.oracle.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -252,3 +254,8 @@ def test_oracle_shares_no_code_with_the_solver():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not {name for name in imported if "waterfill" in name or "channel" in name}
+    reduction = {name for name, value in vars(ConditionalStats).items()
+                 if isinstance(value, cached_property)}
+    assert reduction >= {"f", "s", "active", "u"}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not read & reduction

@@ -30,7 +30,7 @@ from remoterdf.waterfill import (
     spectral_setup,
 )
 
-from conftest import generated_spec, q_x_given_sy, ulps_from, wyner_spec
+from conftest import generated_spec, q_x_given_sy, singular_cross_spec, ulps_from, wyner_spec
 from test_oracle import isotropic_spec
 
 
@@ -106,11 +106,12 @@ def assert_matches_reference(spec):
     assert setup.d**2 == pytest.approx(d**2, rel=1e-12, abs=0.0)
     assert setup.delta_min == pytest.approx(delta_min, rel=1e-12, abs=0.0)
     n = setup.d.size
-    v = setup.f @ setup.u * setup.d
-    scale = np.linalg.norm(setup.f, "fro")
-    assert np.linalg.norm(setup.u.T @ setup.u - np.eye(n), "fro") <= 1e-12 * n
+    f, u = stats.f, stats.u
+    v = f @ u * setup.d
+    scale = np.linalg.norm(f, "fro")
+    assert np.linalg.norm(u.T @ u - np.eye(n), "fro") <= 1e-12 * n
     assert np.linalg.norm(v.T @ v - np.eye(n), "fro") <= 1e-12 * n
-    assert np.linalg.norm((v / setup.d) @ setup.u.T - setup.f, "fro") <= 1e-12 * n * scale
+    assert np.linalg.norm((v / setup.d) @ u.T - f, "fro") <= 1e-12 * n * scale
     return setup
 
 
@@ -138,13 +139,16 @@ class TestSpectralSetup:
             q_mat = reduction_matrix(spec)
             assert np.all(np.diff(setup.d) >= 0)
             # Left singular vectors follow from the right ones: V = Q U D^{-1}.
-            v = q_mat @ setup.u / setup.d
-            recon = (v * setup.d) @ setup.u.T
+            u = setup.stats.u
+            v = q_mat @ u / setup.d
+            recon = (v * setup.d) @ u.T
             assert np.linalg.norm(recon - q_mat, "fro") < 1e-10
-            assert np.linalg.norm(setup.u @ setup.u.T - np.eye(n), "fro") < 1e-10
+            assert np.linalg.norm(u @ u.T - np.eye(n), "fro") < 1e-10
             assert np.linalg.norm(v @ v.T - np.eye(n), "fro") < 1e-10
 
     def test_dimension_hypothesis(self):
+        # n_x = 2, n_s = 1: B = c c^T / q_s has rank one, so there is one
+        # component, along c, with d^2 = q_s / |c|^2.
         rng = np.random.default_rng(8)
         for _ in range(50):
             a = rng.standard_normal((4, 6))
@@ -154,13 +158,30 @@ class TestSpectralSetup:
                 break
             except Exception:
                 continue
-        with pytest.raises(HypothesisViolatedError):
-            make_setup(spec)
+        setup = make_setup(spec)
+        stats = setup.stats
+        c = stats.q_xs_given_y[:, 0]
+        b = float(c @ c) / float(stats.q_s_given_y[0, 0])
+        assert setup.d**2 == pytest.approx([1.0 / b], rel=1e-12)
+        assert setup.delta_min == pytest.approx(setup.trace_xy - b, rel=1e-12)
+        assert np.abs(stats.u[:, 0]) == pytest.approx(np.abs(c) / np.linalg.norm(c), rel=1e-12)
 
     def test_singular_cross_hypothesis(self):
-        spec = validate_spec(np.diag([1.0, 1.0, 1.0]), (1, 1, 1))
-        with pytest.raises(HypothesisViolatedError):
-            make_setup(spec)
+        # Q_{X,S|Y} = diag(1, 0), Q_{S|Y} = 2 I, Q_{X|Y} = I: B = diag(1/2, 0),
+        # so delta_min = 1.5, the second component is never active, and the
+        # rate is 0.5 ln(0.5 / (delta - 1.5)) on (1.5, 2).
+        spec = singular_cross_spec([1.0, 0.0])
+        setup = make_setup(spec)
+        assert setup.active.tolist() == [0]
+        assert setup.d[0] ** 2 == pytest.approx(2.0, rel=1e-15)
+        assert setup.delta_min == pytest.approx(1.5, rel=1e-15)
+        deltas = [1.5, 1.6, 1.75, 1.9, 2.0]
+        points = rdf_curve(spec, deltas).points
+        assert [p.feasible for p in points] == [False, True, True, True, True]
+        for delta, point in zip(deltas[1:], points[1:]):
+            assert point.rate == pytest.approx(0.5 * math.log(0.5 / (delta - 1.5)), rel=1e-12,
+                                               abs=1e-15)
+            assert point.active_count == (delta < 2.0)
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(n=st.sampled_from([1, 2, 3, 8, 33, 64]), seed=st.integers(0, 2**32 - 1))
@@ -185,9 +206,9 @@ class TestSpectralSetup:
         assert_matches_reference(make())
 
     def test_singular_vectors_only_when_a_covariance_is_built(self, monkeypatch):
-        # The gate takes Q_{X,S|Y}'s singular values once per
-        # ConditionalStats and the setup takes F's; the full SVD waits for
-        # the first covariance, and a curve never asks for it.
+        # The setup takes F's singular values once per ConditionalStats; the
+        # full SVD waits for the first covariance, the channel shares it, and
+        # a curve never asks for it.
         spec = generated_spec(np.random.default_rng(3), 8, 2)
         stats = conditional_stats(spec)
         calls, svd = [], np.linalg.svd
@@ -198,20 +219,19 @@ class TestSpectralSetup:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         setup = spectral_setup(spec, stats)
-        assert calls == [False, False] and "u" not in vars(setup)
+        assert calls == [False] and "u" not in vars(stats)
         delta = 0.5 * (setup.delta_min + setup.trace_xy)
         build_channel(spec, stats, solve_waterfill(spec, setup, delta).sigma_delta)
         solve_waterfill(spec, setup, delta)
-        assert calls == [False, False, True]
+        assert calls == [False, True]
         calls.clear()
         rdf_curve(spec, [delta])
-        assert calls == [False, False]
+        assert calls == [False]
 
     def test_tied_lead_keeps_the_first_entry_positive(self):
         # The two entries of each column tie in magnitude up to rounding, so
         # the sign rule decides on whichever leads: that entry is positive.
-        setup = make_setup(blocks_spec(np.eye(2), [[0.5, 0.25], [0.25, 0.5]]))
-        u = setup.u
+        u = make_setup(blocks_spec(np.eye(2), [[0.5, 0.25], [0.25, 0.5]])).stats.u
         assert np.abs(u[0]) == pytest.approx(np.abs(u[1]), rel=1e-15)
         lead = np.argmax(np.abs(u), axis=0)
         assert np.all(u[lead, np.arange(2)] > 0.0)
@@ -324,6 +344,29 @@ class TestSolveWaterfill:
         assert sol.rate == 0.0
         assert np.all(sol.lam == 0.0)
         assert sol.active_count == 0
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 2, 1)])
+    def test_empty_reduction_solves_delta_plus_only(self, dims):
+        # S independent of X given Y: F = 0, no component is active and
+        # delta_min = delta_plus = n_x.  Only delta >= n_x is reachable, at
+        # zero rate, by the channel that transmits nothing.
+        spec = validate_spec(np.eye(sum(dims)), dims)
+        setup = make_setup(spec)
+        n_x = float(dims[0])
+        assert setup.active.size == 0 and np.all(setup.d == math.inf)
+        assert distortion_range(spec, setup) == (n_x, n_x)
+        points = rdf_curve(spec, [n_x - 0.5, n_x, n_x + 0.5]).points
+        assert points == [CurvePoint(n_x - 0.5, None, None, None, False, "below_range"),
+                          CurvePoint(n_x, 0.0, 0.0, 0, True, ""),
+                          CurvePoint(n_x + 0.5, 0.0, 0.0, 0, True, "")]
+        with pytest.raises(BelowRangeError):
+            solve_waterfill(spec, setup, n_x - 0.5)
+        for delta in (n_x, n_x + 0.5):
+            sol = solve_waterfill(spec, setup, delta)
+            assert (sol.rate, sol.active_count, sol.above_range) == (0.0, 0, delta > n_x)
+            assert np.array_equal(sol.sigma_delta, np.eye(dims[0]))
+            ch = build_channel(spec, setup.stats, sol.sigma_delta)
+            assert not np.any(ch.h) and not np.any(ch.q_w)
 
     def test_wyner_quarter(self):
         spec = wyner_spec(1.0)
