@@ -46,7 +46,6 @@ from .specfile import (
 from .waterfill import (
     CurvePoint,
     RdfCurve,
-    SpectralSetup,
     WaterfillSolution,
     distortion_range,
     rdf_curve,
@@ -65,7 +64,6 @@ __all__ = [
     "Remark3Row",
     "SimulationResult",
     "SourceSpecFile",
-    "SpectralSetup",
     "StructuralReport",
     "TestChannel",
     "WaterfillSolution",

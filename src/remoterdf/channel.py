@@ -36,11 +36,10 @@ from .core import (
     SYM_TOL_SCALE,
     ConditionalStats,
     GaussianSourceSpec,
-    psd_tolerance,
     symmetric_sqrt,
     symmetrize,
 )
-from .errors import InfeasibleSigmaError, NegativeNoiseError
+from .errors import InfeasibleSigmaError
 
 # Threshold for the structural residual, which is divided by the largest
 # diagonal entry of the joint covariance: rescaling an instance moves neither.
@@ -56,8 +55,8 @@ class TestChannel:
     """Realization matrices of the optimal reproduction channel.
 
     `q_xhat_given_y` and `q_s_given_xhat_y` are derived at construction and
-    carried along because every consumer needs them; `q_s_given_y` is the
-    source's Q_{S|Y}, the prior the measurement-side rate is taken against.
+    carried along because every consumer needs them; `stats` is the instance
+    it was built on, whose factor of Q_{S|Y} and `psd_tol` the rate reuses.
     """
 
     __test__ = False  # domain type, not a pytest class
@@ -68,7 +67,7 @@ class TestChannel:
     sigma_delta: np.ndarray
     q_xhat_given_y: np.ndarray
     q_s_given_xhat_y: np.ndarray
-    q_s_given_y: np.ndarray
+    stats: ConditionalStats
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ def build_channel(
     """Synthesize the optimal channel achieving distortion covariance `sigma_delta`.
 
     A channel exists exactly for Q_{X|S,Y} <= Sigma <= Q_{X|Y}, that is
-    0 <= M <= B.  Two tests decide it, at `psd_tolerance` of Q_{X|Y}: M has
+    0 <= M <= B.  Two tests decide it, at `stats.psd_tol`: M has
     no part outside range(B), and Q_W = M - M B^+ M >= 0, which on range(B)
     holds exactly when 0 <= M <= B.  Off range(B), Q_W >= 0 alone would pass
     a Sigma below Q_{X|S,Y}.  With U_a the active right singular vectors of
@@ -126,12 +125,9 @@ def build_channel(
     HypothesisViolatedError
         Q_{S|Y} has no Cholesky factor (from `stats`).
     InfeasibleSigmaError
-        sigma_delta of the wrong shape, not finite or not symmetric, or M
-        with a part outside range(B).
-    NegativeNoiseError
-        Q_W has an eigenvalue below minus the tolerance: sigma_delta is outside
-        [Q_{X|S,Y}, Q_{X|Y}] (an InfeasibleSigmaError).  Eigenvalues within
-        the tolerance of zero are clamped.
+        sigma_delta of the wrong shape, not finite or not symmetric, M with
+        a part outside range(B), or Q_W with an eigenvalue below minus the
+        tolerance.  Eigenvalues of Q_W within the tolerance of zero are clamped.
     """
     sigma = np.asarray(sigma_delta, dtype=float)
     if sigma.shape != (spec.n_x, spec.n_x):
@@ -145,9 +141,8 @@ def build_channel(
         raise InfeasibleSigmaError("distortion covariance is not symmetric")
     sigma = symmetrize(sigma)
 
-    q_xy = stats.q_x_given_y
-    tol = psd_tolerance(float(np.max(np.linalg.eigvalsh(q_xy))))
-    m = symmetrize(q_xy - sigma)  # = Q_{X_hat|Y}
+    tol = stats.psd_tol
+    m = symmetrize(stats.q_x_given_y - sigma)  # = Q_{X_hat|Y}
     u_a = stats.u[:, stats.active]
     outside = float(np.linalg.norm(m - u_a @ (u_a.T @ m), "fro"))
     if outside > tol:
@@ -160,7 +155,10 @@ def build_channel(
     q_w = symmetrize(m - m_w @ m_w.T)
     w_eigs, w_vecs = np.linalg.eigh(q_w)
     if float(w_eigs[0]) < -tol:
-        raise NegativeNoiseError(float(w_eigs[0]))
+        raise InfeasibleSigmaError(
+            f"reconstruction noise covariance has eigenvalue {float(w_eigs[0]):.3e} < 0: "
+            "distortion covariance is outside [Q_{X|S,Y}, Q_{X|Y}]"
+        )
     if float(w_eigs[0]) < 0.0:
         q_w = symmetrize((w_vecs * np.maximum(w_eigs, 0.0)) @ w_vecs.T)
 
@@ -177,7 +175,7 @@ def build_channel(
         sigma_delta=sigma,
         q_xhat_given_y=m,
         q_s_given_xhat_y=q_s_post,
-        q_s_given_y=stats.q_s_given_y,
+        stats=stats,
     )
 
 
@@ -234,16 +232,16 @@ def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> Structur
     return StructuralReport(residuals={"cond_mean_identity": r_cond_mean})
 
 
-def _log_det(m: np.ndarray) -> float:
-    """log det of a positive definite matrix by Cholesky; LinAlgError otherwise."""
-    return 2.0 * float(np.sum(np.log(np.diagonal(np.linalg.cholesky(m)))))
+def _log_det(chol: np.ndarray) -> float:
+    """log det L L^T from its Cholesky factor L."""
+    return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
 
 
 def _rate(log_det_prior: float, posterior: np.ndarray) -> float:
     """max(0, (log_det_prior - log det posterior) / 2), or ``inf`` for a
     posterior that is not positive definite."""
     try:
-        return max(0.0, 0.5 * (log_det_prior - _log_det(posterior)))
+        return max(0.0, 0.5 * (log_det_prior - _log_det(np.linalg.cholesky(posterior))))
     except np.linalg.LinAlgError:
         return math.inf
 
@@ -251,14 +249,13 @@ def _rate(log_det_prior: float, posterior: np.ndarray) -> float:
 def rate_of_channel(spec: GaussianSourceSpec, channel: TestChannel) -> ChannelRate:
     """Rate of the channel in nats, by both determinant-ratio formulas.
 
-    Measurement side: 0.5 log det Q_{S|Y} / det Q_{S|X_hat,Y}, by Cholesky;
-    ``inf`` when the posterior is not positive definite.  A prior that is not
-    raises numpy.linalg.LinAlgError (a ValueError); no channel from
-    `build_channel` has one, as it refuses a Q_{S|Y} with no Cholesky factor.
+    Measurement side: 0.5 log det Q_{S|Y} / det Q_{S|X_hat,Y}, by Cholesky,
+    the prior's factor being the one `channel.stats` holds; ``inf`` when the
+    posterior is not positive definite.
 
     Reproduction side: 0.5 log det M / det Q_W with M = Q_{X_hat|Y}, on the
-    eigenvectors of M whose eigenvalues exceed `psd_tolerance` of
-    Q_{X|Y} = Sigma + M; ``inf`` when Q_W is not positive definite there, 0
+    eigenvectors of M whose eigenvalues exceed `channel.stats.psd_tol`, the
+    tolerance of Q_{X|Y}; ``inf`` when Q_W is not positive definite there, 0
     when there are none (empty determinants are 1).  The cut is measured
     against Q_{X|Y}, whose scale sets the round-off in M and Q_W: just below
     Delta+ M is tiny, and a cut at its own scale would keep directions where
@@ -267,10 +264,9 @@ def rate_of_channel(spec: GaussianSourceSpec, channel: TestChannel) -> ChannelRa
     The two agree for any channel built by `build_channel`; the discrepancy
     is returned so callers can surface disagreement.
     """
-    rate = _rate(_log_det(channel.q_s_given_y), channel.q_s_given_xhat_y)
+    rate = _rate(_log_det(channel.stats.chol), channel.q_s_given_xhat_y)
     m_eigs, m_vecs = np.linalg.eigh(channel.q_xhat_given_y)
-    q_x_given_y = channel.sigma_delta + channel.q_xhat_given_y
-    keep = m_eigs > psd_tolerance(float(np.linalg.eigvalsh(q_x_given_y)[-1]))
+    keep = m_eigs > channel.stats.psd_tol
     basis = m_vecs[:, keep]
     rate_alt = _rate(float(np.sum(np.log(m_eigs[keep]))), basis.T @ channel.q_w @ basis)
     if math.isinf(rate) and math.isinf(rate_alt):

@@ -156,23 +156,22 @@ def _matrix(m: np.ndarray) -> list:
 
 
 def _solve(spec, delta: float):
-    """Conditional statistics, spectral setup and water-filling at `delta`."""
-    stats = conditional_stats(spec)
-    setup = spectral_setup(spec, stats)
-    return stats, setup, solve_waterfill(spec, setup, delta)
+    """The analysed instance and its water-filling solution at `delta`."""
+    stats = spectral_setup(spec, conditional_stats(spec))
+    return stats, solve_waterfill(spec, stats, delta)
 
 
 def cmd_channel(args) -> int:
     loaded = load_spec_file(args.spec)
     spec = loaded.spec
     try:
-        stats, setup, sol = _solve(spec, args.delta)
+        stats, sol = _solve(spec, args.delta)
     except BelowRangeError as exc:
         return _fail(
             f"infinite rate at lower boundary (delta {args.delta!r} <= delta_min "
             f"{exc.delta_min!r})"
         )
-    lo, hi = distortion_range(spec, setup)
+    lo, hi = distortion_range(spec, stats)
     ch = build_channel(spec, stats, sol.sigma_delta)
     rates = rate_of_channel(spec, ch)
     report = verify_structure(spec, ch)
@@ -224,7 +223,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
     loaded = load_spec_file(args.spec)
     spec = loaded.spec
-    stats, _, sol = _solve(spec, args.delta)
+    stats, sol = _solve(spec, args.delta)
     ch = build_channel(spec, stats, sol.sigma_delta)
     report = verify_structure(spec, ch)
     sim = simulate_channel(spec, ch, n_samples=args.samples, seed=args.seed)
@@ -271,7 +270,7 @@ def cmd_oracle(args) -> int:
     loaded = load_spec_file(args.spec)
     spec = loaded.spec
     require_grid_dimensions(spec)  # before the solve, so its refusal is the one reported
-    stats, _, sol = _solve(spec, args.delta)
+    stats, sol = _solve(spec, args.delta)
     resolution = OracleResolution(
         eig_points=args.resolution, angle_points=args.angle_points
     )

@@ -102,11 +102,11 @@ class GaussianSourceSpec:
 
 @dataclass(frozen=True)
 class ConditionalStats:
-    """The Schur complements given Y: Q_{X|Y}, Q_{S|Y} and Q_{X,S|Y}.
-
-    The cached properties hold the remote-source reduction F = V diag(s) U^T,
-    for any n_x, n_s and rank of Q_{X,S|Y}, each computed on first use and
-    shared by every stage that reads these stats.
+    """The analysed instance: the Schur complements given Y, Q_{X|Y}, Q_{S|Y}
+    and Q_{X,S|Y}.  The cached properties hold the Cholesky factor of Q_{S|Y},
+    the remote-source reduction F = V diag(s) U^T for any n_x, n_s and rank
+    of Q_{X,S|Y}, its water-filling terms and the instance's PSD tolerance,
+    each computed on first use and shared by every stage that reads them.
     """
 
     q_x_given_y: np.ndarray
@@ -114,15 +114,19 @@ class ConditionalStats:
     q_xs_given_y: np.ndarray
 
     @cached_property
-    def f(self) -> np.ndarray:
-        """F = L^{-1} Q_{X,S|Y}^T, L the Cholesky factor of Q_{S|Y}, so F^T F = B =
-        Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T.  A Q_{S|Y} with no L is refused."""
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor L of Q_{S|Y}.  A Q_{S|Y} with none is refused
+        (HypothesisViolatedError "Q_{S|Y} > 0")."""
         try:
-            chol = np.linalg.cholesky(self.q_s_given_y)
+            return np.linalg.cholesky(self.q_s_given_y)
         except np.linalg.LinAlgError:
             low = float(np.linalg.eigvalsh(self.q_s_given_y)[0])
             raise HypothesisViolatedError("Q_{S|Y} > 0", low) from None
-        return np.linalg.solve(chol, self.q_xs_given_y.T)
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        """F = L^{-1} Q_{X,S|Y}^T, so F^T F = B = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T."""
+        return np.linalg.solve(self.chol, self.q_xs_given_y.T)
 
     @cached_property
     def s(self) -> np.ndarray:
@@ -142,6 +146,26 @@ class ConditionalStats:
         lead = np.argmax(np.abs(u), axis=0)
         return u * np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
 
+    @cached_property
+    def d_sq(self) -> np.ndarray:
+        """d_i^2 = (1/s_i)^2 of the active components, ascending."""
+        return (1.0 / self.s[self.active]) ** 2
+
+    @cached_property
+    def trace_xy(self) -> float:
+        """trace(Q_{X|Y}) = delta_plus, the distortion that needs no coding."""
+        return float(np.trace(self.q_x_given_y))
+
+    @cached_property
+    def delta_min(self) -> float:
+        """trace(Q_{X|S,Y}): trace_xy less the capacity sum(1/d_sq), not sum(s^2)."""
+        return self.trace_xy - float(np.sum(1.0 / self.d_sq))
+
+    @cached_property
+    def psd_tol(self) -> float:
+        """`psd_tolerance` of Q_{X|Y}, the scale of every test on Sigma and Q_W."""
+        return psd_tolerance(float(np.linalg.eigvalsh(self.q_x_given_y)[-1]))
+
 
 def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSourceSpec:
     """Validate a raw joint covariance and package it as a GaussianSourceSpec.
@@ -158,8 +182,9 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
     ------
     ValueError
         Wrong shape or non-positive dimensions.
-    NotSymmetricError, NotPSDError, SingularYError
-        Structured rejections, in that precedence order.
+    NotSymmetricError, NotPSDError, SingularYError, NotPSDError
+        Structured rejections, in that precedence order; the second
+        NotPSDError is for the covariance of (X, S) given Y.
     """
     n_x, n_s, n_y = (int(d) for d in dims)
     if min(n_x, n_s, n_y) <= 0:
@@ -190,6 +215,14 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
     y_eigs = np.linalg.eigvalsh(spec.q_y)
     if float(y_eigs[0]) <= INV_TOL * float(y_eigs[-1]):
         raise SingularYError(float(y_eigs[0]), INV_TOL * float(y_eigs[-1]))
+
+    # A small-variance Y can hide this one's negative eigenvalues from the joint's.
+    stats = conditional_stats(spec)
+    xs_eigs = np.linalg.eigvalsh(np.block([[stats.q_x_given_y, stats.q_xs_given_y],
+                                           [stats.q_xs_given_y.T, stats.q_s_given_y]]))
+    xs_tol = psd_tolerance(float(xs_eigs[-1]))
+    if float(xs_eigs[0]) < -xs_tol:
+        raise NotPSDError(float(xs_eigs[0]), xs_tol, "covariance of (X, S) given Y")
     return spec
 
 

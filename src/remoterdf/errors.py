@@ -45,16 +45,6 @@ class InfeasibleSigmaError(RemoteRdfError):
     """Distortion covariance is malformed or outside [Q_{X|S,Y}, Q_{X|Y}]."""
 
 
-class NegativeNoiseError(InfeasibleSigmaError):
-    def __init__(self, min_eigenvalue: float):
-        self.min_eigenvalue = min_eigenvalue
-        super().__init__(
-            "reconstruction noise covariance has eigenvalue "
-            f"{min_eigenvalue:.3e} < 0: distortion covariance is outside "
-            "[Q_{X|S,Y}, Q_{X|Y}]"
-        )
-
-
 class HypothesisViolatedError(RemoteRdfError):
     def __init__(self, hypothesis: str, value: float):
         self.hypothesis = hypothesis

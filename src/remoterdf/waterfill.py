@@ -1,11 +1,12 @@
-"""Spectral reduction and water-filling solution of the rate-distortion function.
+"""Water-filling solution of the rate-distortion function.
 
-The remote-source reduction gives parallel components: with Q_{S|Y} = L L^T
-(Cholesky), F = L^{-1} Q_{X,S|Y}^T = V diag(s) U^T and d_i = 1/s_i, the
-matrix B = F^T F = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T is the covariance of
-E[X|S,Y] given Y, the reproduction covariance given Y is U diag(lambda) U^T
-and the rate is 0.5 * sum(log(1/(1 - lambda_i d_i^2))), for any n_x, n_s
-and rank of Q_{X,S|Y}.  The allocations of the active components (s_i above
+The remote-source reduction, cached on `ConditionalStats`, gives parallel
+components: with Q_{S|Y} = L L^T (Cholesky), F = L^{-1} Q_{X,S|Y}^T =
+V diag(s) U^T and d_i = 1/s_i, the matrix B = F^T F =
+Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T is the covariance of E[X|S,Y] given Y,
+the reproduction covariance given Y is U diag(lambda) U^T and the rate is
+0.5 * sum(log(1/(1 - lambda_i d_i^2))), for any n_x, n_s and rank of
+Q_{X,S|Y}.  The allocations of the active components (s_i above
 RANK_TOL * s_max; the others S does not observe) follow a water level xi:
 
     lambda_i = 1/d_i^2 - 1/(2 xi)   when xi > d_i^2 / 2, else 0
@@ -57,24 +58,10 @@ STEP_DOWN_LIMIT = 2200
 
 
 @dataclass(frozen=True)
-class SpectralSetup:
-    """The reduction of `stats` in water-filling terms: d_i = 1/s_i ascending
-    (infinite where s_i = 0), the stats' `active` and their d_i^2 `d_sq`, and
-    the trace of Q_{X|Y} (delta_plus) and `delta_min`, so that solving at any
-    distortion needs no further conditional statistics."""
-
-    stats: ConditionalStats
-    d: np.ndarray
-    active: np.ndarray
-    d_sq: np.ndarray
-    trace_xy: float
-    delta_min: float
-
-
-@dataclass(frozen=True)
 class WaterfillSolution:
-    """Allocations lambda (paired with d ascending, hence non-increasing),
-    water level xi, rate in nats, and the distortion covariance Sigma."""
+    """Allocations lambda (paired with `stats.s` descending, hence
+    non-increasing), water level xi, rate in nats, and the distortion
+    covariance Sigma."""
 
     delta: float
     rate: float
@@ -106,29 +93,25 @@ class RdfCurve:
     points: list[CurvePoint]
 
 
-def spectral_setup(spec: GaussianSourceSpec, stats: ConditionalStats) -> SpectralSetup:
-    """Set up water-filling on the reduction of `stats`, for any n_x, n_s and
-    rank of Q_{X,S|Y}.  Only a Q_{S|Y} with no Cholesky factor is refused
-    (HypothesisViolatedError "Q_{S|Y} > 0"); no singular vector is computed.
+def spectral_setup(spec: GaussianSourceSpec, stats: ConditionalStats) -> ConditionalStats:
+    """Return `stats` once their reduction (`d_sq`, `trace_xy`, `delta_min`)
+    is computed, for any n_x, n_s and rank of Q_{X,S|Y}.  Only a Q_{S|Y} with
+    no Cholesky factor is refused (HypothesisViolatedError "Q_{S|Y} > 0");
+    no singular vector is computed.
     """
-    with np.errstate(divide="ignore"):
-        d = 1.0 / stats.s  # infinite for a component S does not observe
-    d_sq = d[stats.active] ** 2
-    trace_xy = float(np.trace(stats.q_x_given_y))
-    # delta_min is the capacity sum(1/d_sq) the water level fills, not sum(s^2).
-    return SpectralSetup(stats=stats, d=d, active=stats.active, d_sq=d_sq,
-                         trace_xy=trace_xy, delta_min=trace_xy - float(np.sum(1.0 / d_sq)))
+    stats.delta_min  # computes the reduction, so a refusal is raised here
+    return stats
 
 
-def distortion_range(spec: GaussianSourceSpec, setup: SpectralSetup) -> tuple[float, float]:
+def distortion_range(spec: GaussianSourceSpec, setup: ConditionalStats) -> tuple[float, float]:
     """Boundaries (delta_min, delta_plus) of the finite-rate distortion regime."""
     return setup.delta_min, setup.trace_xy
 
 
-def _finite_rate(setup: SpectralSetup, deltas):
+def _finite_rate(stats: ConditionalStats, deltas):
     """Which distortions have a finite rate: those above delta_min, and
     delta_plus when it equals delta_min (no active component)."""
-    return (deltas > setup.delta_min) | (deltas >= setup.trace_xy)
+    return (deltas > stats.delta_min) | (deltas >= stats.trace_xy)
 
 
 def _water_levels(
@@ -203,7 +186,7 @@ def _water_levels(
 
 
 def solve_waterfill(
-    spec: GaussianSourceSpec, setup: SpectralSetup, delta: float
+    spec: GaussianSourceSpec, setup: ConditionalStats, delta: float
 ) -> WaterfillSolution:
     """Solve the allocation problem at distortion `delta`.
 
@@ -221,16 +204,15 @@ def solve_waterfill(
         raise BelowRangeError(delta, setup.delta_min)
 
     xi, lam_act, rate, _ = _water_levels(setup.d_sq, setup.trace_xy, np.array([delta]))
-    lam = np.zeros_like(setup.d)
+    lam = np.zeros(setup.s.size)
     lam[setup.active] = lam_act[0]
     above_range = delta > setup.trace_xy
     water_error = 0.0
     if not above_range:
         water_error = abs(float(np.sum(lam_act[0])) - (setup.trace_xy - delta))
 
-    u = setup.stats.u
-    q_xhat = symmetrize((u * lam) @ u.T)
-    sigma_delta = symmetrize(setup.stats.q_x_given_y - q_xhat)
+    q_xhat = symmetrize((setup.u * lam) @ setup.u.T)
+    sigma_delta = symmetrize(setup.q_x_given_y - q_xhat)
     return WaterfillSolution(
         delta=delta,
         rate=float(rate[0]),
@@ -260,17 +242,17 @@ def rdf_curve(spec: GaussianSourceSpec, deltas) -> RdfCurve:
     ordered = grid[finite]
     if np.any(ordered[1:] < ordered[:-1]):
         raise ValueError("distortion grid must be sorted ascending")
-    setup = spectral_setup(spec, conditional_stats(spec))
-    feasible = finite & _finite_rate(setup, grid)
+    stats = conditional_stats(spec)
+    feasible = finite & _finite_rate(stats, grid)
     xi = np.zeros(grid.size)
     rate = np.zeros(grid.size)
     count = np.zeros(grid.size, dtype=int)
     solved = np.flatnonzero(feasible)
-    step = max(1, CURVE_BLOCK // max(1, setup.d_sq.size))
+    step = max(1, CURVE_BLOCK // max(1, stats.d_sq.size))
     for start in range(0, solved.size, step):
         block = solved[start : start + step]
         xi[block], _, rate[block], count[block] = _water_levels(
-            setup.d_sq, setup.trace_xy, grid[block]
+            stats.d_sq, stats.trace_xy, grid[block]
         )
     columns = [col.tolist() for col in (grid, rate, xi, count, feasible)]
     columns.append([""] * grid.size)

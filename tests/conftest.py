@@ -15,7 +15,6 @@ from remoterdf.core import (
 )
 from remoterdf.errors import (
     InfeasibleSigmaError,
-    NegativeNoiseError,
     NotPSDError,
     RemoteRdfError,
 )
@@ -127,9 +126,8 @@ def three_test_sigma_rule(stats: ConditionalStats, sigma: np.ndarray) -> None:
     Raises
     ------
     InfeasibleSigmaError
-        Sigma has a negative eigenvalue or exceeds Q_{X|Y}.
-    NegativeNoiseError
-        Q_W has an eigenvalue below minus the tolerance.
+        Sigma has a negative eigenvalue or exceeds Q_{X|Y}, or Q_W has an
+        eigenvalue below minus the tolerance.
     """
     sigma = symmetrize(sigma)
     q_xy = stats.q_x_given_y
@@ -144,7 +142,7 @@ def three_test_sigma_rule(stats: ConditionalStats, sigma: np.ndarray) -> None:
     q_w = symmetrize(m - h @ stats.q_s_given_y @ h.T)
     w_eigs = np.linalg.eigvalsh(q_w)
     if float(w_eigs[0]) < -tol:
-        raise NegativeNoiseError(float(w_eigs[0]))
+        raise InfeasibleSigmaError(f"noise covariance has eigenvalue {float(w_eigs[0]):.3e} < 0")
 
 
 def simulate_whole_array(spec: GaussianSourceSpec, channel, n_samples: int, seed: int):

@@ -18,7 +18,7 @@ from remoterdf.channel import (
     verify_structure,
 )
 from remoterdf.core import conditional_stats, psd_tolerance, symmetric_sqrt, validate_spec
-from remoterdf.errors import HypothesisViolatedError, InfeasibleSigmaError, NegativeNoiseError
+from remoterdf.errors import HypothesisViolatedError, InfeasibleSigmaError
 from remoterdf.oracle import brute_force_rdf, wyner_scalar_rdf
 from remoterdf.waterfill import distortion_range, solve_waterfill, spectral_setup
 
@@ -116,7 +116,7 @@ class TestBuildChannel:
 
     def test_negative_noise_rejected(self, scalar_spec):
         # Sigma below the remote-sensing floor Q_{X|S,Y} = 0.25.
-        with pytest.raises(NegativeNoiseError):
+        with pytest.raises(InfeasibleSigmaError, match="reconstruction noise covariance has eigenvalue"):
             channel_at(scalar_spec, 0.2)
 
     def test_singular_cross_solved(self):
@@ -553,12 +553,32 @@ def with_measurement(spec, a, noise):
     return validate_spec(mix @ joint @ mix.T, (n_x, n_s + k, n_y))
 
 
+def with_maps(spec, x_map, y_map):
+    """Spec of (x_map X, S, y_map Y)."""
+    mix = np.eye(spec.n_total)
+    mix[: spec.n_x, : spec.n_x] = x_map
+    mix[spec.n_x + spec.n_s :, spec.n_x + spec.n_s :] = y_map
+    return validate_spec(mix @ spec.q @ mix.T, (spec.n_x, spec.n_s, spec.n_y))
+
+
+def random_invertible(rng, n):
+    """An n x n matrix with singular values in [0.5, 2]."""
+    left, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    right, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (left * rng.uniform(0.5, 2.0, n)) @ right
+
+
+INVARIANCE_SHAPES = st.sampled_from([(1, 1), (2, 2), (8, 8), (3, 1), (2, 4)])
+
+
 class TestReductionInvariance:
-    """The reduction depends on S only through what it says about X."""
+    """The reduction depends on S only through what it says about X, on Y
+    only through the span of its components, and on X's basis only by
+    rotating Sigma with it."""
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(
-        shape=st.sampled_from([(1, 1), (2, 2), (8, 8), (3, 1), (2, 4)]),
+        shape=INVARIANCE_SHAPES,
         k=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
         frac=st.floats(0.05, 0.95),
@@ -566,14 +586,43 @@ class TestReductionInvariance:
     def test_invariant_under_invertible_map_and_independent_noise(self, shape, k, seed, frac):
         rng = np.random.default_rng(seed)
         spec = rectangular_spec(rng, *shape, 2)
-        left, _ = np.linalg.qr(rng.standard_normal((shape[1], shape[1])))
-        right, _ = np.linalg.qr(rng.standard_normal((shape[1], shape[1])))
-        a = (left * rng.uniform(0.5, 2.0, shape[1])) @ right
-        other = with_measurement(spec, a, rng.uniform(0.1, 2.0, k))
+        other = with_measurement(spec, random_invertible(rng, shape[1]), rng.uniform(0.1, 2.0, k))
         before = scaled_outcome(spec.q, (spec.n_x, spec.n_s, spec.n_y), 1.0, frac)
         after = scaled_outcome(other.q, (other.n_x, other.n_s, other.n_y), 1.0, frac)
         assert after[:2] == pytest.approx(before[:2], rel=1e-9)
         assert before[2] and after[2]
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(shape=INVARIANCE_SHAPES, seed=st.integers(0, 2**32 - 1), frac=st.floats(0.05, 0.95))
+    def test_invariant_under_invertible_map_of_side_information(self, shape, seed, frac):
+        rng = np.random.default_rng(seed)
+        spec = rectangular_spec(rng, *shape, 2)
+        other = with_maps(spec, np.eye(shape[0]), random_invertible(rng, 2))
+        before = scaled_outcome(spec.q, (spec.n_x, spec.n_s, spec.n_y), 1.0, frac)
+        after = scaled_outcome(other.q, (other.n_x, other.n_s, other.n_y), 1.0, frac)
+        assert after[:2] == pytest.approx(before[:2], rel=1e-9)
+        assert before[2] and after[2]
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(shape=INVARIANCE_SHAPES, seed=st.integers(0, 2**32 - 1), frac=st.floats(0.05, 0.95))
+    def test_invariant_under_rotation_of_the_source(self, shape, seed, frac):
+        # X -> O X maps the solver's Sigma to O Sigma O^T, and the channel
+        # built on O Sigma O^T has the original's rates.
+        rng = np.random.default_rng(seed)
+        spec = rectangular_spec(rng, *shape, 2)
+        o, _ = np.linalg.qr(rng.standard_normal((shape[0], shape[0])))
+        other = with_maps(spec, o, np.eye(2))
+        ch, sol = waterfill_channel(spec, frac)
+        rates = rate_of_channel(spec, ch)
+        assert verify_structure(spec, ch).all_pass
+        ch_o, sol_o = waterfill_channel(other, frac)
+        rotated = o @ sol.sigma_delta @ o.T
+        assert np.linalg.norm(sol_o.sigma_delta - rotated) <= 1e-9 * np.linalg.norm(rotated)
+        for channel in (ch_o, build_channel(other, conditional_stats(other), rotated)):
+            after = rate_of_channel(other, channel)
+            assert (after.rate, after.rate_alt) == pytest.approx(
+                (rates.rate, rates.rate_alt), rel=1e-9)
+            assert verify_structure(other, channel).all_pass
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(

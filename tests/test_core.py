@@ -65,6 +65,21 @@ class TestValidateSpec:
         with pytest.raises(NotPSDError):
             validate_spec(m, (1, 1, 1))
 
+    @pytest.mark.parametrize(
+        "q, low",
+        [([[1.0, 0.5, 4e-5], [0.5, 1.0, 0.0], [4e-5, 0.0, 1e-9]], 0.2 - math.sqrt(0.89)),
+         ([[1.0, 0.5, 1e-6], [0.5, 1.0, 0.0], [1e-6, 0.0, 1e-13]], -4.0 - math.sqrt(25.25))],
+        ids=["var-y-1e-9", "var-y-1e-13"],
+    )
+    def test_indefinite_given_y_rejected(self, q, low):
+        # The joint passes its own PSD test and Q_Y is invertible at its
+        # scale, but the small-variance Y hides Q_{X|Y} = 1 - q_xy^2 / q_y
+        # (-0.6, -9): the covariance of (X, S) given Y is indefinite, with
+        # smallest eigenvalue -0.743 (-9.025).
+        with pytest.raises(NotPSDError, match="given Y") as exc:
+            validate_spec(np.array(q), (1, 1, 1))
+        assert exc.value.min_eigenvalue == pytest.approx(low, rel=1e-6)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             validate_spec(np.eye(4), (1, 1, 1))

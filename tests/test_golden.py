@@ -251,7 +251,7 @@ def record_levels() -> list[dict]:
         spec = validate_spec(np.array(rec["covariance"]), tuple(rec["dims"]))
         setup = spectral_setup(spec, conditional_stats(spec))
         lo, hi = distortion_range(spec, setup)
-        inv = 1.0 / setup.d[setup.active] ** 2
+        inv = 1.0 / setup.d_sq
         totals = np.cumsum(inv)[1:] - np.arange(2, inv.size + 1) * inv[1:]
         anchors = [lo, hi, *(hi - totals).tolist()]
         deltas = list(rec["deltas"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import remoterdf.waterfill
-from remoterdf.channel import build_channel
+from remoterdf.channel import build_channel, rate_of_channel
 from remoterdf.core import (
     INV_TOL,
     RANK_TOL,
@@ -36,6 +36,12 @@ from test_oracle import isotropic_spec
 
 def make_setup(spec):
     return spectral_setup(spec, conditional_stats(spec))
+
+
+def ascending_d(stats):
+    """d_i = 1/s_i, ascending, infinite for a component S does not observe."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / stats.s
 
 
 def reduction_matrix(spec):
@@ -100,18 +106,19 @@ def assert_matches_reference(spec):
     """
     stats = conditional_stats(spec)
     setup = spectral_setup(spec, stats)
-    _, d, active, d_sq, delta_min = reference_reduction(stats)
+    _, d_ref, active, d_sq, delta_min = reference_reduction(stats)
+    d = ascending_d(setup)
     assert np.array_equal(setup.active, active)
     assert setup.d_sq == pytest.approx(d_sq, rel=1e-12, abs=0.0)
-    assert setup.d**2 == pytest.approx(d**2, rel=1e-12, abs=0.0)
+    assert d**2 == pytest.approx(d_ref**2, rel=1e-12, abs=0.0)
     assert setup.delta_min == pytest.approx(delta_min, rel=1e-12, abs=0.0)
-    n = setup.d.size
+    n = d.size
     f, u = stats.f, stats.u
-    v = f @ u * setup.d
+    v = f @ u * d
     scale = np.linalg.norm(f, "fro")
     assert np.linalg.norm(u.T @ u - np.eye(n), "fro") <= 1e-12 * n
     assert np.linalg.norm(v.T @ v - np.eye(n), "fro") <= 1e-12 * n
-    assert np.linalg.norm((v / setup.d) @ u.T - f, "fro") <= 1e-12 * n * scale
+    assert np.linalg.norm((v / d) @ u.T - f, "fro") <= 1e-12 * n * scale
     return setup
 
 
@@ -119,17 +126,17 @@ class TestSpectralSetup:
     def test_scalar_example(self, scalar_spec):
         setup = make_setup(scalar_spec)
         assert reduction_matrix(scalar_spec) == pytest.approx(np.array([[2.0]]))
-        assert setup.d == pytest.approx([2.0])
-        assert setup.d[0] ** 2 == pytest.approx(4.0)
+        assert ascending_d(setup) == pytest.approx([2.0])
+        assert ascending_d(setup)[0] ** 2 == pytest.approx(4.0)
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
     def test_equal_source_measurement(self, q):
         setup = make_setup(wyner_spec(q))
-        assert setup.d[0] ** 2 == pytest.approx(1.0 / q, rel=1e-12)
+        assert ascending_d(setup)[0] ** 2 == pytest.approx(1.0 / q, rel=1e-12)
 
     def test_diag_block_example(self):
         setup = make_setup(diag_block_spec())
-        assert setup.d == pytest.approx([2.0, 4.0])
+        assert ascending_d(setup) == pytest.approx([2.0, 4.0])
 
     def test_svd_reconstruction_and_orthogonality(self, make_spec):
         rng = np.random.default_rng(7)
@@ -137,11 +144,12 @@ class TestSpectralSetup:
             spec = make_spec(rng, n, n_y)
             setup = make_setup(spec)
             q_mat = reduction_matrix(spec)
-            assert np.all(np.diff(setup.d) >= 0)
+            d = ascending_d(setup)
+            assert np.all(np.diff(d) >= 0)
             # Left singular vectors follow from the right ones: V = Q U D^{-1}.
-            u = setup.stats.u
-            v = q_mat @ u / setup.d
-            recon = (v * setup.d) @ u.T
+            u = setup.u
+            v = q_mat @ u / d
+            recon = (v * d) @ u.T
             assert np.linalg.norm(recon - q_mat, "fro") < 1e-10
             assert np.linalg.norm(u @ u.T - np.eye(n), "fro") < 1e-10
             assert np.linalg.norm(v @ v.T - np.eye(n), "fro") < 1e-10
@@ -158,12 +166,11 @@ class TestSpectralSetup:
                 break
             except Exception:
                 continue
-        setup = make_setup(spec)
-        stats = setup.stats
+        stats = make_setup(spec)
         c = stats.q_xs_given_y[:, 0]
         b = float(c @ c) / float(stats.q_s_given_y[0, 0])
-        assert setup.d**2 == pytest.approx([1.0 / b], rel=1e-12)
-        assert setup.delta_min == pytest.approx(setup.trace_xy - b, rel=1e-12)
+        assert ascending_d(stats) ** 2 == pytest.approx([1.0 / b], rel=1e-12)
+        assert stats.delta_min == pytest.approx(stats.trace_xy - b, rel=1e-12)
         assert np.abs(stats.u[:, 0]) == pytest.approx(np.abs(c) / np.linalg.norm(c), rel=1e-12)
 
     def test_singular_cross_hypothesis(self):
@@ -173,7 +180,7 @@ class TestSpectralSetup:
         spec = singular_cross_spec([1.0, 0.0])
         setup = make_setup(spec)
         assert setup.active.tolist() == [0]
-        assert setup.d[0] ** 2 == pytest.approx(2.0, rel=1e-15)
+        assert ascending_d(setup)[0] ** 2 == pytest.approx(2.0, rel=1e-15)
         assert setup.delta_min == pytest.approx(1.5, rel=1e-15)
         deltas = [1.5, 1.6, 1.75, 1.9, 2.0]
         points = rdf_curve(spec, deltas).points
@@ -208,22 +215,43 @@ class TestSpectralSetup:
     def test_singular_vectors_only_when_a_covariance_is_built(self, monkeypatch):
         # The setup takes F's singular values once per ConditionalStats; the
         # full SVD waits for the first covariance, the channel shares it, and
-        # a curve never asks for it.
+        # a curve never asks for it.  A channel pipeline factors Q_{S|Y} once
+        # and takes the spectrum of Q_{X|Y} (for its tolerance) once; matrices
+        # within rounding of them count too, so Sigma + M counts as Q_{X|Y}.
         spec = generated_spec(np.random.default_rng(3), 8, 2)
-        stats = conditional_stats(spec)
         calls, svd = [], np.linalg.svd
+        factored, spectra = [], []
+        cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
 
         def counted(a, *args, **kwargs):
             calls.append(kwargs.get("compute_uv", True))
             return svd(a, *args, **kwargs)
 
+        def counted_cholesky(a, *args, **kwargs):
+            factored.append(np.array(a))
+            return cholesky(a, *args, **kwargs)
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            spectra.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def times_taken(matrices, m):
+            return sum(a.shape == m.shape and np.linalg.norm(a - m) <= 1e-12 * np.linalg.norm(m)
+                       for a in matrices)
+
         monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        stats = conditional_stats(spec)
         setup = spectral_setup(spec, stats)
         assert calls == [False] and "u" not in vars(stats)
         delta = 0.5 * (setup.delta_min + setup.trace_xy)
-        build_channel(spec, stats, solve_waterfill(spec, setup, delta).sigma_delta)
+        ch = build_channel(spec, stats, solve_waterfill(spec, setup, delta).sigma_delta)
+        rate_of_channel(spec, ch)
         solve_waterfill(spec, setup, delta)
         assert calls == [False, True]
+        assert times_taken(factored, stats.q_s_given_y) == 1
+        assert times_taken(spectra, stats.q_x_given_y) == 1
         calls.clear()
         rdf_curve(spec, [delta])
         assert calls == [False]
@@ -231,7 +259,7 @@ class TestSpectralSetup:
     def test_tied_lead_keeps_the_first_entry_positive(self):
         # The two entries of each column tie in magnitude up to rounding, so
         # the sign rule decides on whichever leads: that entry is positive.
-        u = make_setup(blocks_spec(np.eye(2), [[0.5, 0.25], [0.25, 0.5]])).stats.u
+        u = make_setup(blocks_spec(np.eye(2), [[0.5, 0.25], [0.25, 0.5]])).u
         assert np.abs(u[0]) == pytest.approx(np.abs(u[1]), rel=1e-15)
         lead = np.argmax(np.abs(u), axis=0)
         assert np.all(u[lead, np.arange(2)] > 0.0)
@@ -331,7 +359,7 @@ class TestSolveWaterfill:
         sol = solve_waterfill(scalar_spec, setup, 0.375)
         # The water-mass tolerance is 1e-10 * trace(Q_{X|Y}) = 5e-11.
         assert sol.lam == pytest.approx([0.125], abs=1e-10)
-        assert sol.lam[0] * setup.d[0] ** 2 == pytest.approx(0.5, abs=1e-9)
+        assert sol.lam[0] * ascending_d(setup)[0] ** 2 == pytest.approx(0.5, abs=1e-9)
         assert sol.rate == pytest.approx(0.5 * math.log(2.0), abs=1e-9)
         assert sol.xi == pytest.approx(4.0, rel=1e-8)
         assert sol.sigma_delta[0, 0] == pytest.approx(0.375, abs=1e-10)
@@ -353,7 +381,7 @@ class TestSolveWaterfill:
         spec = validate_spec(np.eye(sum(dims)), dims)
         setup = make_setup(spec)
         n_x = float(dims[0])
-        assert setup.active.size == 0 and np.all(setup.d == math.inf)
+        assert setup.active.size == 0 and np.all(ascending_d(setup) == math.inf)
         assert distortion_range(spec, setup) == (n_x, n_x)
         points = rdf_curve(spec, [n_x - 0.5, n_x, n_x + 0.5]).points
         assert points == [CurvePoint(n_x - 0.5, None, None, None, False, "below_range"),
@@ -365,7 +393,7 @@ class TestSolveWaterfill:
             sol = solve_waterfill(spec, setup, delta)
             assert (sol.rate, sol.active_count, sol.above_range) == (0.0, 0, delta > n_x)
             assert np.array_equal(sol.sigma_delta, np.eye(dims[0]))
-            ch = build_channel(spec, setup.stats, sol.sigma_delta)
+            ch = build_channel(spec, setup, sol.sigma_delta)
             assert not np.any(ch.h) and not np.any(ch.q_w)
 
     def test_wyner_quarter(self):
@@ -415,12 +443,13 @@ class TestSolveWaterfill:
                 sol = solve_waterfill(spec, setup, delta)
                 trace_xy = float(np.trace(conditional_stats(spec).q_x_given_y))
                 assert sol.water_error <= 1e-10 * trace_xy
+                d = ascending_d(setup)
                 for i, lam in enumerate(sol.lam):
-                    active = sol.xi > setup.d[i] ** 2 / 2.0
+                    active = sol.xi > d[i] ** 2 / 2.0
                     assert (lam > 0) == active
                 assert np.min(np.linalg.eigvalsh(sol.sigma_delta)) > -1e-9
                 assert float(np.trace(sol.sigma_delta)) == pytest.approx(delta, rel=1e-9)
-                assert np.all(sol.lam * np.concatenate([setup.d]) ** 2 <= 1.0 + 1e-12)
+                assert np.all(sol.lam * d**2 <= 1.0 + 1e-12)
 
     def test_matches_brute_force_scalar(self, make_spec):
         rng = np.random.default_rng(40)
