@@ -15,8 +15,8 @@ from .channel import (
     StructuralReport,
     TestChannel,
     build_channel,
-    distortion_covariance,
     joint_with_reproduction,
+    optimal_channel,
     rate_of_channel,
     simulate_channel,
     verify_structure,
@@ -71,11 +71,11 @@ __all__ = [
     "build_channel",
     "classical_scalar_rdf",
     "conditional_stats",
-    "distortion_covariance",
     "distortion_range",
     "dump_spec_document",
     "joint_with_reproduction",
     "load_spec_file",
+    "optimal_channel",
     "parse_spec_document",
     "rate_of_channel",
     "rdf_curve",

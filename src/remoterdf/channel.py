@@ -1,14 +1,25 @@
 """Optimal test-channel synthesis, structural verification, and simulation.
 
 The reproduction is realized as X_hat = H S + G Y + W with W independent
-Gaussian noise.  Given a feasible distortion covariance Sigma
-(Q_{X|S,Y} <= Sigma <= Q_{X|Y}), M = Q_{X|Y} - Sigma and B = Q_{X|Y} -
-Q_{X|S,Y} = Q_{X,S|Y} Q_{S|Y}^{-1} Q_{X,S|Y}^T, the gains are, for any n_x,
-n_s and rank of Q_{X,S|Y} (B^+ the pseudoinverse, from `ConditionalStats`)
+Gaussian noise.  The optimal channel is a set of parallel scalar channels in
+the coordinates of the reduction that `ConditionalStats` caches: Q_{S|Y} =
+L L^T and F = L^{-1} Q_{X,S|Y}^T = V diag(s) U^T, with U_a, s_a and the
+orthonormal V_a = F U_a diag(1/s_a) on the k active components.  A
+reproduction covariance M = Q_{X_hat|Y} on range(B), B = F^T F, is given
+whitened: N = W^T M W = R diag(nu) R^T, 0 <= nu <= 1, W = U_a diag(1/s_a)
+(so B^+ = W W^T).  With T = U_a diag(s_a) R,
 
-    H = M B^+ Q_{X,S|Y} Q_{S|Y}^{-1}
+    M = T diag(nu) T^T,  Q_W = T diag(nu (1 - nu)) T^T = M - M B^+ M
+    H = T diag(nu) (V_a R)^T L^{-1} = M B^+ Q_{X,S|Y} Q_{S|Y}^{-1}
     G = (Q_{X,Y} - H Q_{S,Y}) Q_Y^{-1}
-    Q_W = M - H Q_{S|Y} H^T = M - M B^+ M
+    Q_{S|X_hat,Y} = L (I - V_a R diag(nu) R^T V_a^T) L^T
+
+and the rate is -1/2 sum(log(1 - nu)).  One constructor builds them from
+(R, nu, 1 - nu), so 1 - nu is never a difference when its source knows it.
+`optimal_channel` feeds it a water-filling solution: R = I, nu = lambda d^2
+and 1 - nu = min(1, d^2 / (2 xi)), with no eigendecomposition.
+`build_channel` feeds it a distortion covariance Sigma, M = Q_{X|Y} - Sigma,
+and decomposes only k x k matrices.
 
 The same matrices also realize the decoder-only split X_hat = G Y + Z with
 Z = H S + W, where Z is what an encoder without access to Y would transmit:
@@ -32,14 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    SYM_TOL_SCALE,
-    ConditionalStats,
-    GaussianSourceSpec,
-    symmetric_sqrt,
-    symmetrize,
-)
+from .core import SYM_TOL_SCALE, ConditionalStats, GaussianSourceSpec, symmetric_sqrt, symmetrize
 from .errors import InfeasibleSigmaError
+from .waterfill import WaterfillSolution
 
 # Threshold for the structural residual, which is divided by the largest
 # diagonal entry of the joint covariance: rescaling an instance moves neither.
@@ -56,7 +62,9 @@ class TestChannel:
 
     `q_xhat_given_y` and `q_s_given_xhat_y` are derived at construction and
     carried along because every consumer needs them; `stats` is the instance
-    it was built on, whose factor of Q_{S|Y} and `psd_tol` the rate reuses.
+    it was built on, whose factor of Q_{S|Y} the measurement-side rate
+    reuses.  `nu_complement` holds 1 - nu, one entry per active component
+    (see the module docstring), from which `rate_of_channel` reads the rate.
     """
 
     __test__ = False  # domain type, not a pytest class
@@ -68,6 +76,7 @@ class TestChannel:
     q_xhat_given_y: np.ndarray
     q_s_given_xhat_y: np.ndarray
     stats: ConditionalStats
+    nu_complement: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,8 +101,8 @@ class StructuralReport:
 
 @dataclass(frozen=True)
 class ChannelRate:
-    """Rate by the measurement-side ratio, the reproduction-side ratio (which
-    must agree), and their absolute discrepancy."""
+    """Rate from the channel's factor, the measurement-side determinant ratio
+    on its matrices (which must agree), and their absolute discrepancy."""
 
     rate: float
     rate_alt: float
@@ -108,17 +117,47 @@ class SimulationResult:
     seed: int
 
 
+def _channel(spec: GaussianSourceSpec, stats: ConditionalStats, sigma: np.ndarray,
+             r: np.ndarray, nu: np.ndarray, nu_complement: np.ndarray) -> TestChannel:
+    """The channel whose whitened reproduction covariance is R diag(nu) R^T,
+    with 1 - nu given as `nu_complement` (formulas in the module docstring)."""
+    u_a, s_a = stats.u[:, stats.active], stats.s[stats.active]
+    t = (u_a * s_a) @ r
+    v = (stats.f @ u_a / s_a) @ r  # V_a R
+    h = (t * nu) @ np.linalg.solve(stats.chol.T, v).T
+    g = np.linalg.solve(spec.q_y, (spec.q_xy - h @ spec.q_sy).T).T
+    q_s_post = stats.chol @ (np.eye(v.shape[0]) - (v * nu) @ v.T) @ stats.chol.T
+    return TestChannel(h=h, g=g, q_w=symmetrize((t * (nu * nu_complement)) @ t.T),
+                       sigma_delta=sigma, q_xhat_given_y=symmetrize((t * nu) @ t.T),
+                       q_s_given_xhat_y=symmetrize(q_s_post), stats=stats,
+                       nu_complement=nu_complement)
+
+
+def optimal_channel(
+    spec: GaussianSourceSpec, stats: ConditionalStats, sol: WaterfillSolution
+) -> TestChannel:
+    """The optimal channel of a water-filling solution `sol` on `stats`: R = I,
+    nu = lambda d^2 and 1 - nu = min(1, d^2 / (2 xi)) from the level, so no
+    eigendecomposition is taken and the rate is the solver's down to
+    delta_min.  The solver's allocation is feasible by construction, so
+    nothing is tested or refused."""
+    nu = sol.lam[stats.active] * stats.d_sq
+    nu_complement = np.minimum(1.0, stats.d_sq / (2.0 * sol.xi))
+    return _channel(spec, stats, sol.sigma_delta, np.eye(nu.size), nu, nu_complement)
+
+
 def build_channel(
     spec: GaussianSourceSpec, stats: ConditionalStats, sigma_delta: np.ndarray
 ) -> TestChannel:
     """Synthesize the optimal channel achieving distortion covariance `sigma_delta`.
 
     A channel exists exactly for Q_{X|S,Y} <= Sigma <= Q_{X|Y}, that is
-    0 <= M <= B.  Two tests decide it, at `stats.psd_tol`: M has
-    no part outside range(B), and Q_W = M - M B^+ M >= 0, which on range(B)
-    holds exactly when 0 <= M <= B.  Off range(B), Q_W >= 0 alone would pass
-    a Sigma below Q_{X|S,Y}.  With U_a the active right singular vectors of
-    F, range(B) = span(U_a) and B^+ = W W^T, W = U_a diag(1/s_a).
+    0 <= M <= B.  Two tests decide it, at `stats.psd_tol`: M has no part
+    outside range(B) = span(U_a), and Q_W = M - M B^+ M >= 0, which on
+    range(B) holds exactly when 0 <= M <= B (off it, Q_W >= 0 alone would
+    pass a Sigma below Q_{X|S,Y}).  Only k x k matrices are decomposed:
+    N = R diag(nu) R^T, and diag(s_a) R diag(nu (1 - nu)) R^T diag(s_a),
+    whose spectrum is Q_W's nonzero one.  nu is then clipped to [0, 1].
 
     Raises
     ------
@@ -127,7 +166,7 @@ def build_channel(
     InfeasibleSigmaError
         sigma_delta of the wrong shape, not finite or not symmetric, M with
         a part outside range(B), or Q_W with an eigenvalue below minus the
-        tolerance.  Eigenvalues of Q_W within the tolerance of zero are clamped.
+        tolerance.
     """
     sigma = np.asarray(sigma_delta, dtype=float)
     if sigma.shape != (spec.n_x, spec.n_x):
@@ -142,7 +181,7 @@ def build_channel(
     sigma = symmetrize(sigma)
 
     tol = stats.psd_tol
-    m = symmetrize(stats.q_x_given_y - sigma)  # = Q_{X_hat|Y}
+    m = symmetrize(stats.q_x_given_y - sigma)
     u_a = stats.u[:, stats.active]
     outside = float(np.linalg.norm(m - u_a @ (u_a.T @ m), "fro"))
     if outside > tol:
@@ -150,33 +189,18 @@ def build_channel(
             f"Q_{{X|Y}} - Sigma has a part of norm {outside:.3e} outside the range of "
             "Q_{X|Y} - Q_{X|S,Y}: distortion covariance is outside [Q_{X|S,Y}, Q_{X|Y}]"
         )
-    w = u_a / stats.s[stats.active]
-    m_w = m @ w
-    q_w = symmetrize(m - m_w @ m_w.T)
-    w_eigs, w_vecs = np.linalg.eigh(q_w)
-    if float(w_eigs[0]) < -tol:
+    s_a = stats.s[stats.active]
+    w = u_a / s_a
+    nu, r = np.linalg.eigh(symmetrize(w.T @ m @ w))
+    sr = s_a[:, None] * r
+    w_eigs = np.linalg.eigvalsh(symmetrize((sr * (nu * (1.0 - nu))) @ sr.T))
+    if w_eigs.size and float(w_eigs[0]) < -tol:
         raise InfeasibleSigmaError(
             f"reconstruction noise covariance has eigenvalue {float(w_eigs[0]):.3e} < 0: "
             "distortion covariance is outside [Q_{X|S,Y}, Q_{X|Y}]"
         )
-    if float(w_eigs[0]) < 0.0:
-        q_w = symmetrize((w_vecs * np.maximum(w_eigs, 0.0)) @ w_vecs.T)
-
-    # C = Q_{X,S|Y}^T W, so H = M W C^T Q_{S|Y}^{-1}, and
-    # Q_{S|X_hat,Y} = Q_{S|Y} - C (W^T M W) C^T, free of any inverse of M.
-    c = stats.q_xs_given_y.T @ w
-    h = m_w @ np.linalg.solve(stats.q_s_given_y, c).T
-    g = np.linalg.solve(spec.q_y, (spec.q_xy - h @ spec.q_sy).T).T
-    q_s_post = symmetrize(stats.q_s_given_y - c @ (w.T @ m_w) @ c.T)
-    return TestChannel(
-        h=h,
-        g=g,
-        q_w=q_w,
-        sigma_delta=sigma,
-        q_xhat_given_y=m,
-        q_s_given_xhat_y=q_s_post,
-        stats=stats,
-    )
+    nu = np.clip(nu, 0.0, 1.0)
+    return _channel(spec, stats, sigma, r, nu, 1.0 - nu)
 
 
 def joint_with_reproduction(spec: GaussianSourceSpec, channel: TestChannel) -> np.ndarray:
@@ -192,15 +216,6 @@ def joint_with_reproduction(spec: GaussianSourceSpec, channel: TestChannel) -> n
         + channel.q_w
     )
     return symmetrize(np.block([[spec.q, cross.T], [cross, symmetrize(q_xhat)]]))
-
-
-def distortion_covariance(spec: GaussianSourceSpec, channel: TestChannel) -> np.ndarray:
-    """Analytic E{(X - X_hat)(X - X_hat)^T}; equals sigma_delta for a valid channel."""
-    joint = joint_with_reproduction(spec, channel)
-    sx = slice(0, spec.n_x)
-    sxh = slice(spec.n_total, spec.n_total + spec.n_x)
-    c = joint[sx, sxh]
-    return symmetrize(spec.q_x - c - c.T + joint[sxh, sxh])
 
 
 def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> StructuralReport:
@@ -237,42 +252,28 @@ def _log_det(chol: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
 
 
-def _rate(log_det_prior: float, posterior: np.ndarray) -> float:
-    """max(0, (log_det_prior - log det posterior) / 2), or ``inf`` for a
-    posterior that is not positive definite."""
-    try:
-        return max(0.0, 0.5 * (log_det_prior - _log_det(np.linalg.cholesky(posterior))))
-    except np.linalg.LinAlgError:
-        return math.inf
-
-
 def rate_of_channel(spec: GaussianSourceSpec, channel: TestChannel) -> ChannelRate:
-    """Rate of the channel in nats, by both determinant-ratio formulas.
+    """Rate of the channel in nats, from its factor and, as a cross-check,
+    from its matrices.
 
-    Measurement side: 0.5 log det Q_{S|Y} / det Q_{S|X_hat,Y}, by Cholesky,
-    the prior's factor being the one `channel.stats` holds; ``inf`` when the
-    posterior is not positive definite.
-
-    Reproduction side: 0.5 log det M / det Q_W with M = Q_{X_hat|Y}, on the
-    eigenvectors of M whose eigenvalues exceed `channel.stats.psd_tol`, the
-    tolerance of Q_{X|Y}; ``inf`` when Q_W is not positive definite there, 0
-    when there are none (empty determinants are 1).  The cut is measured
-    against Q_{X|Y}, whose scale sets the round-off in M and Q_W: just below
-    Delta+ M is tiny, and a cut at its own scale would keep directions where
-    Q_W is only round-off.
-
-    The two agree for any channel built by `build_channel`; the discrepancy
-    is returned so callers can surface disagreement.
+    `rate` is -1/2 sum(log(1 - nu)) over `nu_complement`, ``inf`` when some
+    1 - nu is 0; for `optimal_channel` it is the water-filling rate to
+    rounding, down to delta_min.  `rate_alt` is 0.5 log det Q_{S|Y} /
+    det Q_{S|X_hat,Y} by Cholesky, on the stored posterior and the prior's
+    factor in `channel.stats`; ``inf`` when the posterior is not positive
+    definite.  Near delta_min that posterior is Q_{S|Y} less a term of nearly
+    its size, so at e of the range above delta_min `rate_alt` has a relative
+    error of about 1e-16 / e, and at e = 1e-14 it can be off by tenths of a
+    nat or read ``inf``.
     """
-    rate = _rate(_log_det(channel.stats.chol), channel.q_s_given_xhat_y)
-    m_eigs, m_vecs = np.linalg.eigh(channel.q_xhat_given_y)
-    keep = m_eigs > channel.stats.psd_tol
-    basis = m_vecs[:, keep]
-    rate_alt = _rate(float(np.sum(np.log(m_eigs[keep]))), basis.T @ channel.q_w @ basis)
-    if math.isinf(rate) and math.isinf(rate_alt):
-        discrepancy = 0.0
-    else:
-        discrepancy = abs(rate - rate_alt)
+    nu_c = channel.nu_complement
+    rate = max(0.0, -0.5 * float(np.sum(np.log(nu_c)))) if np.all(nu_c > 0.0) else math.inf
+    try:
+        posterior = np.linalg.cholesky(channel.q_s_given_xhat_y)
+        rate_alt = max(0.0, 0.5 * (_log_det(channel.stats.chol) - _log_det(posterior)))
+    except np.linalg.LinAlgError:
+        rate_alt = math.inf
+    discrepancy = 0.0 if math.isinf(rate) and math.isinf(rate_alt) else abs(rate - rate_alt)
     return ChannelRate(rate=rate, rate_alt=rate_alt, discrepancy=discrepancy)
 
 

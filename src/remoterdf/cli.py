@@ -27,12 +27,7 @@ import sys
 
 import numpy as np
 
-from .channel import (
-    build_channel,
-    rate_of_channel,
-    simulate_channel,
-    verify_structure,
-)
+from .channel import optimal_channel, rate_of_channel, simulate_channel, verify_structure
 from .core import conditional_stats
 from .errors import BelowRangeError, RemoteRdfError
 from .oracle import OracleResolution, brute_force_rdf, remark3_discrepancy, require_grid_dimensions
@@ -172,7 +167,7 @@ def cmd_channel(args) -> int:
             f"{exc.delta_min!r})"
         )
     lo, hi = distortion_range(spec, stats)
-    ch = build_channel(spec, stats, sol.sigma_delta)
+    ch = optimal_channel(spec, stats, sol)
     rates = rate_of_channel(spec, ch)
     report = verify_structure(spec, ch)
     matrices = {name: _matrix(getattr(ch, name)) for name in _CHANNEL_MATRICES}
@@ -224,7 +219,7 @@ def cmd_verify(args) -> int:
     loaded = load_spec_file(args.spec)
     spec = loaded.spec
     stats, sol = _solve(spec, args.delta)
-    ch = build_channel(spec, stats, sol.sigma_delta)
+    ch = optimal_channel(spec, stats, sol)
     report = verify_structure(spec, ch)
     sim = simulate_channel(spec, ch, n_samples=args.samples, seed=args.seed)
     trace_sigma = float(np.trace(ch.sigma_delta))

@@ -170,8 +170,10 @@ class ConditionalStats:
 def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSourceSpec:
     """Validate a raw joint covariance and package it as a GaussianSourceSpec.
 
-    The matrix is symmetrized via (Q + Q^T)/2 before the PSD test and the
-    asymmetry residual is recorded on the returned spec.
+    The matrix is symmetrized via (Q + Q^T)/2 before the PSD tests and the
+    asymmetry residual is recorded on the returned spec.  The joint is PSD
+    exactly when Q_Y is positive definite and the covariance of (X, S) given
+    Y is PSD, so those two are tested and the joint's own spectrum is not.
 
     Parameters
     ----------
@@ -183,8 +185,10 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
     ValueError
         Wrong shape or non-positive dimensions.
     NotSymmetricError, NotPSDError, SingularYError, NotPSDError
-        Structured rejections, in that precedence order; the second
-        NotPSDError is for the covariance of (X, S) given Y.
+        Structured rejections, in that precedence order; the first
+        NotPSDError is for Q_Y, with an eigenvalue below minus the PSD
+        tolerance of its own largest, the second for the covariance of
+        (X, S) given Y.
     """
     n_x, n_s, n_y = (int(d) for d in dims)
     if min(n_x, n_s, n_y) <= 0:
@@ -202,21 +206,20 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
         raise NotSymmetricError(sym_residual, sym_tol)
     q = symmetrize(q_raw)
 
-    eigs = np.linalg.eigvalsh(q)
-    psd_tol = psd_tolerance(float(eigs[-1]))
-    if float(eigs[0]) < -psd_tol:
-        raise NotPSDError(float(eigs[0]), psd_tol)
-
     q.setflags(write=False)
     spec = GaussianSourceSpec(n_x=n_x, n_s=n_s, n_y=n_y, q=q, sym_residual=sym_residual)
 
     # Against Q_Y's own scale: the problem is unchanged by Y -> cY, and a Y
     # in units far from X's (say Var X = 1e24, Var Y = 1) is a valid instance.
     y_eigs = np.linalg.eigvalsh(spec.q_y)
+    y_tol = psd_tolerance(float(y_eigs[-1]))
+    if float(y_eigs[0]) < -y_tol:
+        raise NotPSDError(float(y_eigs[0]), y_tol, "side-information covariance block")
     if float(y_eigs[0]) <= INV_TOL * float(y_eigs[-1]):
         raise SingularYError(float(y_eigs[0]), INV_TOL * float(y_eigs[-1]))
 
-    # A small-variance Y can hide this one's negative eigenvalues from the joint's.
+    # With Q_Y > 0 the joint is PSD exactly when this Schur complement is; at
+    # its own scale, so a small-variance Y cannot hide its negative eigenvalues.
     stats = conditional_stats(spec)
     xs_eigs = np.linalg.eigvalsh(np.block([[stats.q_x_given_y, stats.q_xs_given_y],
                                            [stats.q_xs_given_y.T, stats.q_s_given_y]]))

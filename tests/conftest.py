@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from remoterdf.channel import joint_with_reproduction
 from remoterdf.core import (
     RANK_TOL,
     ConditionalStats,
@@ -143,6 +144,15 @@ def three_test_sigma_rule(stats: ConditionalStats, sigma: np.ndarray) -> None:
     w_eigs = np.linalg.eigvalsh(q_w)
     if float(w_eigs[0]) < -tol:
         raise InfeasibleSigmaError(f"noise covariance has eigenvalue {float(w_eigs[0]):.3e} < 0")
+
+
+def distortion_covariance(spec: GaussianSourceSpec, channel) -> np.ndarray:
+    """Analytic E{(X - X_hat)(X - X_hat)^T}; equals sigma_delta for a valid channel."""
+    joint = joint_with_reproduction(spec, channel)
+    sx = slice(0, spec.n_x)
+    sxh = slice(spec.n_total, spec.n_total + spec.n_x)
+    c = joint[sx, sxh]
+    return symmetrize(spec.q_x - c - c.T + joint[sxh, sxh])
 
 
 def simulate_whole_array(spec: GaussianSourceSpec, channel, n_samples: int, seed: int):

@@ -11,8 +11,8 @@ from remoterdf.channel import (
     _CHUNK_ROWS,
     STRUCT_TOL,
     build_channel,
-    distortion_covariance,
     joint_with_reproduction,
+    optimal_channel,
     rate_of_channel,
     simulate_channel,
     verify_structure,
@@ -25,6 +25,7 @@ from remoterdf.waterfill import distortion_range, solve_waterfill, spectral_setu
 from conftest import (
     SCALAR_Q,
     conditional_covariance,
+    distortion_covariance,
     gaussian_cmi,
     generated_spec,
     q_x_given_sy,
@@ -693,6 +694,118 @@ class TestRateOfChannel:
                 ch, _ = waterfill_channel(spec, frac)
                 rates = rate_of_channel(spec, ch)
                 assert rates.discrepancy < 1e-9
+
+
+NEAR_MIN_INSTANCES = [(8, 0), (8, 1), (32, 0), (64, 0)]
+
+
+def near_min_solution(n, seed, e):
+    """A generated spec, its stats and the water-filling solution at e of the
+    finite-rate range above delta_min."""
+    spec = generated_spec(np.random.default_rng(seed), n, max(1, n // 4))
+    stats = conditional_stats(spec)
+    sol = solve_waterfill(spec, stats, stats.delta_min + e * (stats.trace_xy - stats.delta_min))
+    return spec, stats, sol
+
+
+def exact_q_w(spec, delta, mpmath):
+    """Q_W of the optimal channel of the float spec at the float delta, in
+    mpmath's current precision: U diag(lambda theta / b) U^T over the
+    eigenpairs (b, U) of B, with the reverse water level theta."""
+    m = mpmath.matrix(spec.q.tolist())
+    sx = range(spec.n_x)
+    ss = range(spec.n_x, spec.n_x + spec.n_s)
+    sy = range(spec.n_x + spec.n_s, spec.n_total)
+
+    def given_y(rows, cols):
+        def block(r, c):
+            return mpmath.matrix([[m[i, j] for j in c] for i in r])
+        return block(rows, cols) - block(rows, sy) * mpmath.inverse(block(sy, sy)) * block(sy, cols)
+
+    cross = given_y(sx, ss)
+    b, u = mpmath.eigsy(cross * mpmath.inverse(given_y(ss, ss)) * cross.T)
+    b = [b[i] for i in sx]
+    q_x = given_y(sx, sx)
+    target = mpmath.fsum(q_x[i, i] for i in sx) - mpmath.mpf(delta)
+    c = sorted(b, reverse=True)
+    k = 1
+    while k < len(c) and mpmath.fsum(c[:k]) - k * c[k] < target:
+        k += 1
+    theta = (mpmath.fsum(c[:k]) - target) / k
+    q_w = u * mpmath.diag([(x - theta) * theta / x if x > theta else 0 for x in b]) * u.T
+    return np.array(q_w.tolist(), dtype=float)
+
+
+class TestFactorChannel:
+    """Channels built on the reduction's factor: `optimal_channel` from a
+    water-filling solution, `build_channel` from a distortion covariance."""
+
+    @pytest.mark.parametrize("n, seed", NEAR_MIN_INSTANCES)
+    def test_rate_exact_down_to_delta_min(self, n, seed):
+        # At 1e-14 of the range above delta_min the rate is 127 to 1019 nats;
+        # a channel built from Sigma read inf on (8, 0) and (64, 0).
+        spec, stats, sol = near_min_solution(n, seed, 1e-14)
+        ch = optimal_channel(spec, stats, sol)
+        assert rate_of_channel(spec, ch).rate == pytest.approx(sol.rate, rel=1e-12)
+        assert verify_structure(spec, ch).all_pass
+
+    @pytest.mark.parametrize("n, seed", NEAR_MIN_INSTANCES)
+    def test_rate_alt_precision_limit(self, n, seed):
+        # The measurement-side cross-check forms its posterior as a
+        # difference, so its relative error grows like 1e-16 / e at e of the
+        # range above delta_min (at most 5.1e-17 / e measured here).
+        for e in (1e-12, 1e-9, 1e-6):
+            spec, stats, sol = near_min_solution(n, seed, e)
+            rates = rate_of_channel(spec, optimal_channel(spec, stats, sol))
+            assert rates.rate_alt == pytest.approx(sol.rate, rel=1e-15 / e)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_q_w_against_50_digits(self, seed):
+        # At 1e-12 above delta_min a Q_W formed from Sigma is off by 2.5e-3
+        # (seed 0) and 2.1e-3 (seed 1); from the level, by 7.6e-5 and 1.6e-4,
+        # which comes from delta_min's own rounding.
+        mpmath = pytest.importorskip("mpmath")
+        spec, stats, sol = near_min_solution(8, seed, 1e-12)
+        with mpmath.workdps(50):
+            exact = exact_q_w(spec, sol.delta, mpmath)
+        q_w = optimal_channel(spec, stats, sol).q_w
+        assert np.linalg.norm(q_w - exact) <= 2e-4 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_barely_active_channels_give_both_rates(self, n):
+        # 1e-6 and 1e-9 of each active-count interval above its breakpoint
+        # total, where the newest component's reproduction variance is under
+        # the PSD tolerance of Q_{X|Y}.  A reproduction-side rate dropped it
+        # on seeds 11, 14, 15 and 16 at n = 8 (errors up to 8.7e-9).
+        for seed in range(30):
+            spec = generated_spec(np.random.default_rng(seed), n, max(1, n // 4))
+            stats = conditional_stats(spec)
+            c = 1.0 / stats.d_sq
+            cum = np.cumsum(c)
+            totals = np.append(cum - np.arange(1, n + 1) * c, cum[-1])
+            for eps in (1e-6, 1e-9):
+                for a, b in zip(totals[:-1], totals[1:]):
+                    sol = solve_waterfill(spec, stats, stats.trace_xy - ((1 - eps) * a + eps * b))
+                    tol = 1e-9 * max(1.0, sol.rate)
+                    for ch in (optimal_channel(spec, stats, sol),
+                               build_channel(spec, stats, sol.sigma_delta)):
+                        rates = rate_of_channel(spec, ch)
+                        assert abs(rates.rate - sol.rate) <= tol, (seed, eps)
+                        assert abs(rates.rate_alt - sol.rate) <= tol, (seed, eps)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(shape=INVARIANCE_SHAPES, seed=st.integers(0, 2**32 - 1), frac=st.floats(1e-3, 2.0))
+    def test_front_ends_agree_on_the_solvers_sigma(self, shape, seed, frac):
+        spec = rectangular_spec(np.random.default_rng(seed), *shape, 2)
+        stats = conditional_stats(spec)
+        sol = solve_waterfill(spec, stats, stats.delta_min + frac * (stats.trace_xy - stats.delta_min))
+        ch = optimal_channel(spec, stats, sol)
+        other = build_channel(spec, stats, sol.sigma_delta)
+        for name in ("h", "g", "q_w"):
+            gap = np.max(np.abs(getattr(ch, name) - getattr(other, name)))
+            assert gap <= 1e-9 * spec.scale, name
+        assert rate_of_channel(spec, other).rate == pytest.approx(
+            rate_of_channel(spec, ch).rate, rel=1e-9)
 
 
 class TestDistortionCovariance:

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from remoterdf.channel import build_channel
+from remoterdf.channel import optimal_channel
 from remoterdf.cli import CURVE_HEADER, MIN_SAMPLES, REMARK3_HEADER, main, parse_curve_csv
 from remoterdf.core import conditional_stats
+from remoterdf.waterfill import solve_waterfill
 
 from conftest import (
     SCALAR_Q,
@@ -176,6 +177,33 @@ class TestChannel:
         assert doc["decoder_only"]["h"][0][0] == pytest.approx(0.25, abs=1e-12)
         assert doc["decoder_only"] == {k: doc["channel"][k] for k in ("h", "q_w", "g")}
 
+    @pytest.mark.parametrize("n, seed", [(8, 0), (8, 1), (32, 0), (64, 0)])
+    def test_rate_exact_down_to_delta_min(self, capsys, tmp_path, n, seed):
+        # At 1e-14 of the range above delta_min the command printed rate inf
+        # on (8, 0) and (64, 0), for water-filling rates of 127 and 1019 nats.
+        spec = generated_spec(np.random.default_rng(seed), n, max(1, n // 4))
+        stats = conditional_stats(spec)
+        delta = stats.delta_min + 1e-14 * (stats.trace_xy - stats.delta_min)
+        expected = solve_waterfill(spec, stats, delta).rate
+        path = write_spec(tmp_path, spec.q, (n, n, spec.n_y))
+        code, out, _ = run(capsys, ["channel", path, "--delta", repr(delta)])
+        assert code == 0
+        assert json.loads(out)["rate"] == pytest.approx(expected, rel=1e-12)
+
+    def test_weak_cross_covariance_cross_check(self, capsys, tmp_path):
+        # Q_{X,S|Y} = 1e-6 and Q_{S|Y} = 1: half-way through the range
+        # (1 - 1e-12, 1) the rate is 1/2 ln 2 up to delta's rounding, and the
+        # cross-check read 0.0 when it was taken on Q_{X_hat|Y} = 5e-13.
+        c = 1e-6
+        path = write_spec(tmp_path, [[1.0, c, 0.0], [c, 1.0, 0.0], [0.0, 0.0, 1.0]], (1, 1, 1))
+        code, out, _ = run(capsys, ["channel", path, "--delta", "0.9999999999995"])
+        assert code == 0
+        rates = json.loads(out)["rates"]
+        expected = 0.5 * math.log(c * c / ((0.9999999999995 - 1.0) + c * c))
+        assert rates["nats"] == pytest.approx(expected, rel=1e-9)
+        assert rates["alt_nats"] == pytest.approx(expected, rel=1e-9)
+        assert rates["alt_nats"] == pytest.approx(0.5 * math.log(2.0), rel=1e-3)
+
     def test_upper_boundary_zero_rate(self, capsys, spec_path):
         code, out, _ = run(capsys, ["channel", spec_path, "--delta", "0.5"])
         assert code == 0
@@ -226,10 +254,10 @@ class TestVerify:
 
     def test_corrupted_channel_exit_3(self, capsys, spec_path, monkeypatch):
         def corrupted(*args):
-            ch = build_channel(*args)
+            ch = optimal_channel(*args)
             return dataclasses.replace(ch, h=ch.h + 0.1)
 
-        monkeypatch.setattr("remoterdf.cli.build_channel", corrupted)
+        monkeypatch.setattr("remoterdf.cli.optimal_channel", corrupted)
         code, out, _ = run(
             capsys,
             ["verify", spec_path, "--delta", "0.375", "--samples", "50000", "--seed", "1"],

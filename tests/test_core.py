@@ -68,17 +68,36 @@ class TestValidateSpec:
     @pytest.mark.parametrize(
         "q, low",
         [([[1.0, 0.5, 4e-5], [0.5, 1.0, 0.0], [4e-5, 0.0, 1e-9]], 0.2 - math.sqrt(0.89)),
-         ([[1.0, 0.5, 1e-6], [0.5, 1.0, 0.0], [1e-6, 0.0, 1e-13]], -4.0 - math.sqrt(25.25))],
-        ids=["var-y-1e-9", "var-y-1e-13"],
+         ([[1.0, 0.5, 1e-6], [0.5, 1.0, 0.0], [1e-6, 0.0, 1e-13]], -4.0 - math.sqrt(25.25)),
+         ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], -1.0)],
+        ids=["var-y-1e-9", "var-y-1e-13", "indefinite-joint"],
     )
     def test_indefinite_given_y_rejected(self, q, low):
         # The joint passes its own PSD test and Q_Y is invertible at its
         # scale, but the small-variance Y hides Q_{X|Y} = 1 - q_xy^2 / q_y
         # (-0.6, -9): the covariance of (X, S) given Y is indefinite, with
-        # smallest eigenvalue -0.743 (-9.025).
+        # smallest eigenvalue -0.743 (-9.025).  With Q_Y > 0 the joint is PSD
+        # exactly when that covariance is, so it also refuses an indefinite
+        # joint (the last case), whose own spectrum is not taken.
         with pytest.raises(NotPSDError, match="given Y") as exc:
             validate_spec(np.array(q), (1, 1, 1))
         assert exc.value.min_eigenvalue == pytest.approx(low, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "q_y, error, what",
+        [([[1.0, 0.0], [0.0, -0.5]], NotPSDError, "side-information"),
+         ([[1.0, 0.0], [0.0, -1e-12]], SingularYError, "singular"),
+         ([[1.0, 0.0], [0.0, 0.0]], SingularYError, "singular")],
+        ids=["indefinite", "within-tolerance", "zero"],
+    )
+    def test_q_y_not_psd_refused_before_singular(self, q_y, error, what):
+        # An indefinite Q_Y is also singular to INV_TOL; the PSD refusal, at
+        # Q_Y's own scale, comes first.  An eigenvalue within that tolerance
+        # of zero is a singular Q_Y.
+        q = np.eye(4)
+        q[2:, 2:] = q_y
+        with pytest.raises(error, match=what):
+            validate_spec(q, (1, 1, 2))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

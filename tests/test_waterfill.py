@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import remoterdf.waterfill
-from remoterdf.channel import build_channel, rate_of_channel
+from remoterdf.channel import build_channel, optimal_channel, rate_of_channel
 from remoterdf.core import (
     INV_TOL,
     RANK_TOL,
@@ -30,7 +30,14 @@ from remoterdf.waterfill import (
     spectral_setup,
 )
 
-from conftest import generated_spec, q_x_given_sy, singular_cross_spec, ulps_from, wyner_spec
+from conftest import (
+    generated_spec,
+    q_x_given_sy,
+    rectangular_spec,
+    singular_cross_spec,
+    ulps_from,
+    wyner_spec,
+)
 from test_oracle import isotropic_spec
 
 
@@ -218,10 +225,12 @@ class TestSpectralSetup:
         # a curve never asks for it.  A channel pipeline factors Q_{S|Y} once
         # and takes the spectrum of Q_{X|Y} (for its tolerance) once; matrices
         # within rounding of them count too, so Sigma + M counts as Q_{X|Y}.
-        spec = generated_spec(np.random.default_rng(3), 8, 2)
+        # The channel of a solution takes no eigendecomposition at all, and
+        # the channel of a Sigma decomposes only k x k matrices besides that
+        # spectrum (k = 2 < n_x on the rectangular spec).
         calls, svd = [], np.linalg.svd
-        factored, spectra = [], []
-        cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+        factored, spectra, decomposed = [], [], []
+        cholesky, eigvalsh, eigh = np.linalg.cholesky, np.linalg.eigvalsh, np.linalg.eigh
 
         def counted(a, *args, **kwargs):
             calls.append(kwargs.get("compute_uv", True))
@@ -235,6 +244,10 @@ class TestSpectralSetup:
             spectra.append(np.array(a))
             return eigvalsh(a, *args, **kwargs)
 
+        def counted_eigh(a, *args, **kwargs):
+            decomposed.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
         def times_taken(matrices, m):
             return sum(a.shape == m.shape and np.linalg.norm(a - m) <= 1e-12 * np.linalg.norm(m)
                        for a in matrices)
@@ -242,19 +255,32 @@ class TestSpectralSetup:
         monkeypatch.setattr(np.linalg, "svd", counted)
         monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        stats = conditional_stats(spec)
-        setup = spectral_setup(spec, stats)
-        assert calls == [False] and "u" not in vars(stats)
-        delta = 0.5 * (setup.delta_min + setup.trace_xy)
-        ch = build_channel(spec, stats, solve_waterfill(spec, setup, delta).sigma_delta)
-        rate_of_channel(spec, ch)
-        solve_waterfill(spec, setup, delta)
-        assert calls == [False, True]
-        assert times_taken(factored, stats.q_s_given_y) == 1
-        assert times_taken(spectra, stats.q_x_given_y) == 1
-        calls.clear()
-        rdf_curve(spec, [delta])
-        assert calls == [False]
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        for spec in (generated_spec(np.random.default_rng(3), 8, 2),
+                     rectangular_spec(np.random.default_rng(3), 8, 2, 2)):
+            calls.clear()
+            factored.clear()
+            spectra.clear()
+            decomposed.clear()
+            stats = conditional_stats(spec)
+            setup = spectral_setup(spec, stats)
+            assert calls == [False] and "u" not in vars(stats)
+            delta = 0.5 * (setup.delta_min + setup.trace_xy)
+            sol = solve_waterfill(spec, setup, delta)
+            rate_of_channel(spec, optimal_channel(spec, stats, sol))
+            assert spectra == [] and decomposed == []
+            ch = build_channel(spec, stats, sol.sigma_delta)
+            rate_of_channel(spec, ch)
+            solve_waterfill(spec, setup, delta)
+            assert calls == [False, True]
+            assert times_taken(factored, stats.q_s_given_y) == 1
+            assert times_taken(spectra, stats.q_x_given_y) == 1
+            k = stats.active.size
+            assert [a.shape for a in decomposed] == [(k, k)]
+            assert sorted(a.shape for a in spectra) == sorted([(k, k), (spec.n_x, spec.n_x)])
+            calls.clear()
+            rdf_curve(spec, [delta])
+            assert calls == [False]
 
     def test_tied_lead_keeps_the_first_entry_positive(self):
         # The two entries of each column tie in magnitude up to rounding, so
