@@ -11,9 +11,9 @@ re-derives the channel quantities inline from the conditional statistics and
 minimizes by enumeration.  Its result is a pure function of the candidate
 order: the first best candidate wins, in the order (angle, then the
 eigenvalue grid row-major, then the trace-boundary slice for that angle).
-The 2x2 search stages its feasibility tests and works through the grid in
-blocks of rows, so memory stays bounded at any resolution without changing
-which candidate wins.
+The 2x2 search works through the grid in blocks of rows, each cropped per
+angle to where the posterior can be positive definite, so its memory stays
+bounded at any resolution without changing which candidate wins.
 """
 
 from __future__ import annotations
@@ -169,22 +169,24 @@ def brute_force_rdf(
     grids over [0, max eigenvalue of Q_{X|Y}] (and a rotation angle grid for
     2x2).  Constraint-boundary candidates with trace exactly equal to
     trace(Q_{X|Y}) - delta are appended to each grid, since the optimum sits
-    on that boundary.  Feasibility enforces 0 <= M <= Q_{X|Y}, the trace
-    constraint and a positive definite posterior Q_{S|Y} - W^T M W, with
-    W = Q_{X,S|Y}^{-T} Q_{S|Y}.  The posterior test holds exactly when
-    M^{1/2} K M^{1/2} < I, K = W Q_{S|Y}^{-1} W^T, so it also makes the
-    reconstruction noise Q_W = M - M K M positive semidefinite, and Q_W is
-    not tested on its own.
+    on that boundary.  Feasibility is the trace constraint and a positive
+    definite posterior Q_{S|Y} - W^T M W, with W = Q_{X,S|Y}^{-T} Q_{S|Y};
+    M >= 0 holds on the grid.  The posterior test holds exactly when
+    M^{1/2} K M^{1/2} < I, K = W Q_{S|Y}^{-1} W^T, that is M < K^{-1}.  So it
+    makes the reconstruction noise Q_W = M - M K M positive semidefinite, and
+    since K^{-1} = Q_{X|Y} - Q_{X|S,Y} <= Q_{X|Y} it gives M <= Q_{X|Y};
+    neither is tested on its own.
 
     Ties go to the first candidate in a fixed order: for 1x1, the grid
     ascending, then the trace-boundary candidate; for 2x2, by angle, then
     over the eigenvalue grid row-major (first eigenvalue outer), then over
     that angle's trace-boundary slice in ascending order of the first
-    eigenvalue.  The 2x2 search tests the trace and the posterior first and
-    M <= Q_{X|Y} only on their survivors; this short-circuits the same
-    conjunction, so `feasible_points` and the winner are as if every test ran
-    on every candidate.  It visits the grid in blocks of about 32k
-    candidates, which bounds its memory whatever the resolution.
+    eigenvalue.  The 2x2 search visits the grid in blocks of about 32k
+    candidates, which bounds its memory whatever the resolution.  Per angle
+    it crops each block to the leading rows and columns where both diagonal
+    entries of the posterior are positive, which the Sylvester test needs;
+    the crop is exact in floating point, so `feasible_points` and the
+    winner are as if every candidate were tested.
 
     Raises
     ------
@@ -258,7 +260,8 @@ def _brute_force_2x2(stats, target: float, res: OracleResolution) -> OracleResul
     logdet_prior = float(np.log(np.linalg.det(q_s)))
     # Eigenvalues of any feasible M are capped both by Q_{X|Y} and, since a
     # positive definite posterior gives M^{1/2} K M^{1/2} < I with
-    # K = W Q_{S|Y}^{-1} W^T, by lambda_max(M) <= 1/lambda_min(K).
+    # K = W Q_{S|Y}^{-1} W^T, by lambda_max(M) <= 1/lambda_min(K).  As K^{-1} =
+    # Q_{X|Y} - Q_{X|S,Y}, only rounding (at Q_{X|S,Y} = 0) makes the first smaller.
     a_max = min(
         float(np.max(np.linalg.eigvalsh(q_x))),
         1.0 / float(np.min(np.linalg.eigvalsh(k))),
@@ -269,11 +272,9 @@ def _brute_force_2x2(stats, target: float, res: OracleResolution) -> OracleResul
     angles = []
     for theta in thetas:
         c, s = math.cos(theta), math.sin(theta)
-        r1 = np.array([c, s])
-        r2 = np.array([-s, c])
-        u1 = w.T @ r1
-        u2 = w.T @ r2
-        angles.append((c, s, float(u1[0]), float(u1[1]), float(u2[0]), float(u2[1])))
+        u1 = w.T @ np.array([c, s])
+        u2 = w.T @ np.array([-s, c])
+        angles.append((float(u1[0]), float(u1[1]), float(u2[0]), float(u2[1])))
 
     # Per angle, the best det(post) so far and its (a, b); blocks arrive in
     # candidate order and only a strictly larger value replaces the best.
@@ -281,34 +282,40 @@ def _brute_force_2x2(stats, target: float, res: OracleResolution) -> OracleResul
     best_ab = [(0.0, 0.0)] * len(angles)
     n_feasible = 0
     for aa, bb in _candidate_blocks(target, a_max, res.eig_points):
-        # aa and bb broadcast against each other; flattened, the block lists
-        # its candidates in order.  The arithmetic below is per candidate, so
-        # terms that depend on a alone or b alone are shared by a whole row or
-        # column of the grid without changing any result.
-        a_all, b_all = (x.ravel() for x in np.broadcast_arrays(aa, bb))
-        keep = a_all + b_all >= target - ftol
-        for i, (c, s, u10, u11, u20, u21) in enumerate(angles):
-            # Sylvester criterion: post is PD iff p00 > 0 and det > 0.
-            p00 = q_s[0, 0] - aa * u10 * u10 - bb * u20 * u20
-            p01 = q_s[0, 1] - aa * u10 * u11 - bb * u20 * u21
-            p11 = q_s[1, 1] - aa * u11 * u11 - bb * u21 * u21
-            det_post = (p00 * p11 - p01 * p01).ravel()
-            idx = np.flatnonzero(keep & (p00.ravel() > 0.0) & (det_post > 0.0))
-            a, b = a_all[idx], b_all[idx]
-            # M <= Q_{X|Y}
-            g00 = q_x[0, 0] - (a * c * c + b * s * s)
-            g01 = q_x[0, 1] - (a - b) * c * s
-            g11 = q_x[1, 1] - (a * s * s + b * c * c)
-            idx = idx[_psd_shifted_sym2(g00, g01, g11, ftol)]
+        # aa and bb broadcast against each other (a grid block's a is a column,
+        # b a row); flattened, the block lists its candidates in order.  The
+        # arithmetic below is per candidate, so terms that depend on a alone or
+        # b alone are shared by a whole row or column without changing results.
+        keep = aa + bb >= target - ftol
+        for i, (u10, u11, u20, u21) in enumerate(angles):
+            # Sylvester criterion: post is PD iff p00 > 0 and det > 0, and
+            # then p11 > 0 too (det > 0 needs p00 * p11 > 0).
+            t00, t11 = q_s[0, 0] - aa * u10 * u10, q_s[1, 1] - aa * u11 * u11
+            v00, v11 = bb * u20 * u20, bb * u21 * u21
+            r, c = ..., slice(None)  # the trace-boundary slice is not cropped
+            if aa.ndim == 2:
+                # p = t - v > 0 exactly when v < t, with v nondecreasing in b and
+                # t nonincreasing in a: p00 and p11 are both positive only within
+                # the leading cols[0] columns of the leading rows.
+                cols = np.minimum(np.searchsorted(v00, t00[:, 0]), np.searchsorted(v11, t11[:, 0]))
+                if cols[0] == 0:
+                    continue
+                r, c = slice(np.count_nonzero(cols)), slice(cols[0])
+            a, b = aa[r], bb[c]
+            p00 = t00[r] - v00[c]
+            p01 = q_s[0, 1] - a * u10 * u11 - b * u20 * u21
+            det_post = p00 * (t11[r] - v11[c]) - p01 * p01
+            idx = np.flatnonzero(keep[r, c] & (p00 > 0.0) & (det_post > 0.0))
             if idx.size == 0:
                 continue
             n_feasible += idx.size
             # Minimizing the log-det-ratio objective is maximizing det(post).
-            dets = det_post[idx]
+            dets = det_post.ravel()[idx]
             j = int(np.argmax(dets))
             if dets[j] > best_det[i]:
                 best_det[i] = dets[j]
-                best_ab[i] = (float(a_all[idx[j]]), float(b_all[idx[j]]))
+                pos = np.unravel_index(idx[j], det_post.shape)
+                best_ab[i] = (float(a.ravel()[pos[0]]), float(b[pos[-1]]))
 
     if n_feasible < 10:
         raise ResolutionTooCoarseError(n_feasible)
@@ -344,9 +351,3 @@ def _candidate_blocks(target: float, a_max: float, n: int):
     on_slice = (b_slice >= 0.0) & (b_slice <= a_max)
     yield eig_grid[on_slice], b_slice[on_slice]
 
-
-def _psd_shifted_sym2(m00, m01, m11, shift):
-    """Entrywise Sylvester test for lambda_min(M) >= -shift on symmetric 2x2."""
-    a = m00 + shift
-    b = m11 + shift
-    return (a >= 0.0) & (b >= 0.0) & (a * b - m01 * m01 >= 0.0)

@@ -9,8 +9,9 @@ import pytest
 
 from remoterdf.channel import optimal_channel
 from remoterdf.cli import CURVE_HEADER, MIN_SAMPLES, REMARK3_HEADER, main, parse_curve_csv
-from remoterdf.core import conditional_stats
-from remoterdf.waterfill import solve_waterfill
+from remoterdf.core import conditional_stats, validate_spec
+from remoterdf.oracle import OracleResolution, brute_force_rdf
+from remoterdf.waterfill import distortion_range, solve_waterfill, spectral_setup
 
 from conftest import (
     SCALAR_Q,
@@ -336,6 +337,33 @@ class TestOracle:
         assert doc["pass"] is True
         assert doc["gap_nats"] < doc["tolerance_nats"]
         assert doc["rate_waterfill_nats"] == pytest.approx(0.5 * math.log(2), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: validate_spec(SCALAR_Q, (1, 1, 1)),
+                 lambda: generated_spec(np.random.default_rng(0), 2, 1)],
+        ids=["readme-scalar", "generated-2x2"])
+    def test_tolerance_is_in_nats_at_any_scale(self, capsys, tmp_path, make):
+        # The grid's gap to water-filling is free of the covariance's units,
+        # so the tolerance it is held to must be too: a tolerance in
+        # covariance units would pass any solver at x1e6.
+        base = make()
+        dims = (base.n_x, base.n_s, base.n_y)
+        tolerances = []
+        for scale in (1e-9, 1.0, 1e6):
+            spec = validate_spec(base.q * scale, dims)
+            setup = spectral_setup(spec, conditional_stats(spec))
+            lo, hi = distortion_range(spec, setup)
+            delta = lo + 0.55 * (hi - lo)
+            code, out, _ = run(capsys, ["oracle", write_spec(tmp_path, spec.q, dims),
+                                        "--delta", repr(delta), "--resolution", "201",
+                                        "--angle-points", "90"])
+            tolerance = json.loads(out)["tolerance_nats"]
+            assert code == 0
+            optimum = solve_waterfill(spec, setup, delta).rate
+            grid = brute_force_rdf(spec, delta, OracleResolution(201, 90)).rate
+            assert abs(grid - optimum) <= tolerance
+            tolerances.append(tolerance)
+        assert tolerances == [tolerances[0]] * 3
 
     def test_non_finite_delta_exit_1(self, capsys, spec_path):
         code, _, err = run(capsys, ["oracle", spec_path, "--delta", "nan"])

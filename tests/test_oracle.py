@@ -23,7 +23,7 @@ from remoterdf.oracle import (
 )
 from remoterdf.waterfill import distortion_range, solve_waterfill, spectral_setup
 
-from conftest import SCALAR_Q, random_feasible_spec, singular_cross_spec
+from conftest import SCALAR_Q, generated_spec, random_feasible_spec, singular_cross_spec
 
 
 class TestWynerScalar:
@@ -226,6 +226,96 @@ class TestBruteForce:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+
+def low_noise_spec(seed: int, noise: float, cond: float):
+    """X ~ N(0, P), S = A X + N_s with Var N_s = noise * I and cond(A) = cond,
+    Y = b^T X + N_y: Q_{X|S,Y} shrinks with the noise, towards singular."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    p = (u * rng.uniform(0.3, 1.5, 2)) @ u.T
+    mix = np.vstack([np.eye(2), (v * [1.0, 1.0 / cond]) @ u.T, rng.standard_normal((1, 2))])
+    q = mix @ p @ mix.T + np.diag([0.0, 0.0, noise, noise, 0.5])
+    return validate_spec(0.5 * (q + q.T), (2, 2, 1))
+
+
+def dense_grid_search(spec, delta, res):
+    """The 2x2 grid search written out densely: every candidate of every angle
+    gets the whole feasibility conjunction (the trace, a Sylvester-positive
+    posterior and M <= Q_{X|Y} up to the slack), and the first best wins.
+    Returns the feasible count and the winner's rate and params."""
+    stats = conditional_stats(spec)
+    q_x, q_s = stats.q_x_given_y, stats.q_s_given_y
+    binv = np.linalg.inv(stats.q_xs_given_y.T)
+    w, k = binv @ q_s, binv @ q_s @ binv.T
+    a_max = min(float(np.max(np.linalg.eigvalsh(q_x))), 1.0 / float(np.min(np.linalg.eigvalsh(k))))
+    ftol = remoterdf.oracle._FEAS_TOL * a_max
+    target = float(np.trace(q_x)) - float(delta)
+    grid = np.linspace(0.0, a_max, res.eig_points)
+    a_grid, b_grid = np.meshgrid(grid, grid, indexing="ij")
+    on_slice = (target - grid >= 0.0) & (target - grid <= a_max)
+    a = np.concatenate([a_grid.ravel(), grid[on_slice]])
+    b = np.concatenate([b_grid.ravel(), (target - grid)[on_slice]])
+    count, best_det, params = 0, -np.inf, None
+    for theta in np.linspace(0.0, np.pi, res.angle_points, endpoint=False):
+        c, s = math.cos(theta), math.sin(theta)
+        u10, u11 = (float(x) for x in w.T @ np.array([c, s]))
+        u20, u21 = (float(x) for x in w.T @ np.array([-s, c]))
+        p00 = q_s[0, 0] - a * u10 * u10 - b * u20 * u20
+        p01 = q_s[0, 1] - a * u10 * u11 - b * u20 * u21
+        p11 = q_s[1, 1] - a * u11 * u11 - b * u21 * u21
+        det = p00 * p11 - p01 * p01
+        g00 = q_x[0, 0] - (a * c * c + b * s * s) + ftol
+        g01 = q_x[0, 1] - (a - b) * c * s
+        g11 = q_x[1, 1] - (a * s * s + b * c * c) + ftol
+        feasible = ((a + b >= target - ftol) & (p00 > 0.0) & (det > 0.0)
+                    & (g00 >= 0.0) & (g11 >= 0.0) & (g00 * g11 - g01 * g01 >= 0.0))
+        count += int(np.count_nonzero(feasible))
+        j = int(np.argmax(np.where(feasible, det, -np.inf)))
+        if feasible[j] and det[j] > best_det:
+            best_det = det[j]
+            params = {"theta": float(theta), "eig_a": float(a[j]), "eig_b": float(b[j])}
+    if params is None:
+        return 0, None, None
+    rate = max(0.0, 0.5 * (float(np.log(np.linalg.det(q_s))) - math.log(best_det)))
+    return count, rate, params
+
+
+EXACT_COUNT_SPECS = {
+    "isotropic": lambda: isotropic_spec(),
+    **{f"random-{seed}": (lambda seed=seed: random_feasible_spec(
+        np.random.default_rng(seed), 2, 1, min_margin=5e-3)) for seed in (6, 7, 8)},
+    **{f"generated-{seed}": (lambda seed=seed: generated_spec(
+        np.random.default_rng(seed), 2, 1)) for seed in (0, 1)},
+    "noise-1e-6": lambda: low_noise_spec(1, 1e-6, 1.0),
+    "noise-1e-12": lambda: low_noise_spec(2, 1e-12, 1.0),
+    "noise-1e-9-cond-1e3": lambda: low_noise_spec(3, 1e-9, 1e3),
+    "noise-1e-12-cond-1e6": lambda: low_noise_spec(4, 1e-12, 1e6),
+}
+
+
+@pytest.mark.parametrize("grid", [(41, 9), (33, 7)], ids=["41x9", "33x7"])
+@pytest.mark.parametrize("name", EXACT_COUNT_SPECS)
+def test_grid_search_drops_no_feasible_candidate(monkeypatch, name, grid):
+    # The search tests neither M <= Q_{X|Y} (the posterior test implies it)
+    # nor any candidate outside its per-angle crop (where the posterior's
+    # diagonal is not positive); the dense conjunction must count and pick
+    # exactly as it does.
+    spec = EXACT_COUNT_SPECS[name]()
+    lo, hi = distortion_range(spec, spectral_setup(spec, conditional_stats(spec)))
+    res = OracleResolution(*grid)
+    for fraction in (0.05, 0.55, 0.97):
+        delta = lo + fraction * (hi - lo)
+        count, rate, params = dense_grid_search(spec, delta, res)
+        for block in (remoterdf.oracle._BLOCK_CANDIDATES, 7):
+            monkeypatch.setattr(remoterdf.oracle, "_BLOCK_CANDIDATES", block)
+            if count < 10:
+                with pytest.raises(ResolutionTooCoarseError):
+                    brute_force_rdf(spec, delta, res)
+                continue
+            found = brute_force_rdf(spec, delta, res)
+            assert (found.feasible_points, found.params, found.rate) == (count, params, rate)
 
 
 def isotropic_spec():
