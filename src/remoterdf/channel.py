@@ -205,17 +205,10 @@ def build_channel(
 
 def joint_with_reproduction(spec: GaussianSourceSpec, channel: TestChannel) -> np.ndarray:
     """Covariance of the stacked vector (X, S, Y, X_hat) under the channel."""
-    ss = slice(spec.n_x, spec.n_x + spec.n_s)
-    sy = slice(spec.n_x + spec.n_s, spec.n_total)
-    cross = channel.h @ spec.q[ss, :] + channel.g @ spec.q[sy, :]
-    q_xhat = (
-        channel.h @ spec.q_s @ channel.h.T
-        + channel.h @ spec.q_sy @ channel.g.T
-        + channel.g @ spec.q_sy.T @ channel.h.T
-        + channel.g @ spec.q_y @ channel.g.T
-        + channel.q_w
-    )
-    return symmetrize(np.block([[spec.q, cross.T], [cross, symmetrize(q_xhat)]]))
+    gain = np.hstack([channel.h, channel.g])  # X_hat = [H G] (S, Y) + W
+    cross = gain @ spec.q[spec.n_x :, :]  # Cov(X_hat, (X, S, Y))
+    q_xhat = cross[:, spec.n_x :] @ gain.T + channel.q_w
+    return symmetrize(np.block([[spec.q, cross.T], [cross, q_xhat]]))
 
 
 def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> StructuralReport:
@@ -288,14 +281,13 @@ def simulate_channel(
     seed.
 
     The samples are drawn and reduced in chunks of `_CHUNK_ROWS` rows through
-    reused buffers, so memory does not depend on `n_samples`.  The stream is
-    that of one draw of all n_samples x n_total (X, S, Y) normals followed by
-    all n_samples x n_x W normals: a second generator with the same seed is
-    first moved past the (X, S, Y) normals by drawing and discarding them
-    (the ziggurat uses a variable number of raw draws per normal, so the
-    bit generator cannot simply be advanced).  The squared errors are
-    reduced per chunk to a mean and a sum of squared deviations, and the
-    chunks are combined with Chan's pairwise update.
+    reused buffers, so memory does not depend on `n_samples`.  They come from
+    two independent streams, each equal to one whole draw: all
+    n_samples x n_total (X, S, Y) normals from `default_rng(seed)`, and all
+    n_samples x n_x W normals from the generator of its spawned child,
+    `SeedSequence(seed).spawn(1)[0]`.  So every normal is drawn once.  The
+    squared errors are reduced per chunk to a mean and a sum of squared
+    deviations, and the chunks are combined with Chan's pairwise update.
     """
     n_samples = int(n_samples)
     if n_samples < 2:
@@ -305,7 +297,6 @@ def simulate_channel(
     mix = symmetric_sqrt(spec.q) @ np.vstack([np.eye(n_x), -channel.h.T, -channel.g.T])
     root_w = symmetric_sqrt(channel.q_w)
     rows = min(_CHUNK_ROWS, n_samples)
-    sizes = [min(rows, n_samples - start) for start in range(0, n_samples, rows)]
     z = np.empty((rows, spec.n_total))
     z_w = np.empty((rows, n_x))
     err = np.empty((rows, n_x))
@@ -313,11 +304,10 @@ def simulate_channel(
     sq = np.empty(rows)
 
     rng_xsy = np.random.default_rng(seed)
-    rng_w = np.random.default_rng(seed)
-    for m in sizes:
-        rng_w.standard_normal(out=z[:m])
+    rng_w = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     count, mean, m2 = 0, 0.0, 0.0
-    for m in sizes:
+    for start in range(0, n_samples, rows):
+        m = min(rows, n_samples - start)
         rng_xsy.standard_normal(out=z[:m])
         rng_w.standard_normal(out=z_w[:m])
         np.matmul(z[:m], mix, out=err[:m])

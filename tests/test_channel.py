@@ -879,6 +879,38 @@ class TestSimulateChannel:
         spec = wyner_spec(1.0)
         self.assert_same_draws(spec, channel_at(spec, 0.5), n_samples, seed=4)
 
+    @pytest.mark.parametrize("n_samples", [2, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5])
+    def test_each_normal_is_drawn_once(self, monkeypatch, n_samples):
+        # Every generator the simulation makes is wrapped and its normals are
+        # kept: there are n_samples * (n_total + n_x) of them in all, so none
+        # is drawn only to be thrown away, and those of the generator seeded
+        # with the seed itself are the (X, S, Y) stream of one whole draw.
+        spec = generated_spec(np.random.default_rng(42), 8, 2)
+        ch, _ = waterfill_channel(spec, 0.4)
+        seed = 9
+        make_rng = np.random.default_rng
+        drawn = []
+
+        class CountingGenerator:
+            def __init__(self, source):
+                self.rng, self.normals = make_rng(source), []
+                drawn.append((source, self.normals))
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.rng.standard_normal(*args, **kwargs)
+                self.normals.append(np.array(out, copy=True).ravel())
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        simulate_channel(spec, ch, n_samples=n_samples, seed=seed)
+
+        assert sum(x.size for _, normals in drawn for x in normals) == n_samples * (
+            spec.n_total + spec.n_x)
+        xsy = [np.concatenate(normals) for source, normals in drawn if source == seed]
+        assert len(xsy) == 1
+        whole = make_rng(seed).standard_normal((n_samples, spec.n_total)).ravel()
+        assert np.array_equal(xsy[0], whole)
+
     @staticmethod
     def assert_same_draws(spec, ch, n_samples, seed):
         sim = simulate_channel(spec, ch, n_samples=n_samples, seed=seed)

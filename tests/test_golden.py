@@ -98,6 +98,9 @@ CASES = {
                           "--seed", "0", "--format", "csv"],
     "verify-pair-csv": ["verify", "{pair}", "--delta", "0.7", "--samples", "20000",
                         "--seed", "0", "--format", "csv"],
+    # Above delta_plus H = 0 and Q_W = 0, so only the (X, S, Y) stream counts.
+    "verify-scalar-above-csv": ["verify", "{scalar}", "--delta", "0.6", "--samples", "20000",
+                                "--seed", "0", "--format", "csv"],
     "oracle-scalar-json": ["oracle", "{scalar}", "--delta", "0.375"],
     "oracle-scalar-csv": ["oracle", "{scalar}", "--delta", "0.3", "--format", "csv"],
     "oracle-pair-json": ["oracle", "{pair}", "--delta", "0.8", "--resolution", "101",
