@@ -51,8 +51,8 @@ from .waterfill import WaterfillSolution
 # diagonal entry of the joint covariance: rescaling an instance moves neither.
 STRUCT_TOL = 1e-8
 
-# Rows per Monte Carlo chunk: keeps each chunk's buffers near L2 size at
-# n_total = 18 and the simulation's memory independent of the sample count.
+# Rows per Monte Carlo chunk: keeps the simulation's memory independent of
+# the sample count, at about 64 KiB per buffer column.
 _CHUNK_ROWS = 8192
 
 
@@ -270,49 +270,46 @@ def rate_of_channel(spec: GaussianSourceSpec, channel: TestChannel) -> ChannelRa
     return ChannelRate(rate=rate, rate_alt=rate_alt, discrepancy=discrepancy)
 
 
+def _error_factor(spec: GaussianSourceSpec, channel: TestChannel) -> np.ndarray:
+    """Upper-triangular n_x x n_x R with R^T R = K^T K = Cov(X - X_hat), from
+    the QR of K = [Q^{1/2} [I; -H^T; -G^T]; Q_W^{1/2}]: X - X_hat is
+    [X, S, Y] [I; -H^T; -G^T] - W.  The roots refuse a non-PSD Q or Q_W."""
+    mix = symmetric_sqrt(spec.q) @ np.vstack([np.eye(spec.n_x), -channel.h.T, -channel.g.T])
+    return np.linalg.qr(np.vstack([mix, symmetric_sqrt(channel.q_w)]), mode="r")
+
+
 def simulate_channel(
     spec: GaussianSourceSpec, channel: TestChannel, n_samples: int, seed: int
 ) -> SimulationResult:
     """Monte Carlo estimate of the mean squared reproduction error.
 
-    Draws (X, S, Y) through the symmetric square root of the joint covariance
-    (which handles singular joints), W independently from Q_W, and forms the
-    error X - X_hat with X_hat = H S + G Y + W.  Deterministic for a fixed
-    seed.
+    The error X - X_hat of the realization X_hat = H S + G Y + W is Gaussian
+    with covariance R^T R, R the factor of the realization map from
+    `_error_factor`, so each sample is one row of n_x normals times R: the
+    whole n_samples x n_x draw of `default_rng(seed)`, and nothing else.
+    Deterministic for a fixed seed.  The full simulation of (X, S, Y, W)
+    stays in the tests as the reference it must agree with in law.
 
     The samples are drawn and reduced in chunks of `_CHUNK_ROWS` rows through
-    reused buffers, so memory does not depend on `n_samples`.  They come from
-    two independent streams, each equal to one whole draw: all
-    n_samples x n_total (X, S, Y) normals from `default_rng(seed)`, and all
-    n_samples x n_x W normals from the generator of its spawned child,
-    `SeedSequence(seed).spawn(1)[0]`.  So every normal is drawn once.  The
-    squared errors are reduced per chunk to a mean and a sum of squared
-    deviations, and the chunks are combined with Chan's pairwise update.
+    reused buffers, so memory does not depend on `n_samples`.  The squared
+    errors are reduced per chunk to a mean and a sum of squared deviations,
+    and the chunks are combined with Chan's pairwise update.
     """
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("at least 2 samples are needed to estimate a standard error")
-    n_x = spec.n_x
-    # X - X_hat = [X, S, Y] [I; -H^T; -G^T] - W, one product per stream.
-    mix = symmetric_sqrt(spec.q) @ np.vstack([np.eye(n_x), -channel.h.T, -channel.g.T])
-    root_w = symmetric_sqrt(channel.q_w)
+    factor = _error_factor(spec, channel)
     rows = min(_CHUNK_ROWS, n_samples)
-    z = np.empty((rows, spec.n_total))
-    z_w = np.empty((rows, n_x))
-    err = np.empty((rows, n_x))
-    noise = np.empty((rows, n_x))
+    z = np.empty((rows, spec.n_x))
+    err = np.empty((rows, spec.n_x))
     sq = np.empty(rows)
 
-    rng_xsy = np.random.default_rng(seed)
-    rng_w = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    rng = np.random.default_rng(seed)
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, n_samples, rows):
         m = min(rows, n_samples - start)
-        rng_xsy.standard_normal(out=z[:m])
-        rng_w.standard_normal(out=z_w[:m])
-        np.matmul(z[:m], mix, out=err[:m])
-        np.matmul(z_w[:m], root_w, out=noise[:m])
-        err[:m] -= noise[:m]
+        rng.standard_normal(out=z[:m])
+        np.matmul(z[:m], factor, out=err[:m])
         np.einsum("ij,ij->i", err[:m], err[:m], out=sq[:m])
         chunk_mean = float(np.mean(sq[:m]))
         sq[:m] -= chunk_mean

@@ -156,21 +156,20 @@ def distortion_covariance(spec: GaussianSourceSpec, channel) -> np.ndarray:
 
 
 def simulate_whole_array(spec: GaussianSourceSpec, channel, n_samples: int, seed: int):
-    """Reference Monte Carlo that holds every sample at once.
+    """Reference Monte Carlo of the full realization, every sample at once.
 
-    Two independent streams, each one whole draw: all (X, S, Y) normals
-    from `default_rng(seed)`, and all W normals from the generator of its
-    spawned child `SeedSequence(seed).spawn(1)[0]`; returns (empirical
-    distortion, standard error).  The chunked `simulate_channel` must
-    reproduce it to rounding.
+    Draws (X, S, Y) through the symmetric root of the joint covariance and
+    then W through Q_W's, both from `default_rng(seed)`, and forms the error
+    X - (H S + G Y + W); returns (empirical distortion, standard error).
+    `simulate_channel` draws only n_x normals per sample, through the R
+    factor of the realization map, and must agree with this in law.
     """
-    rng_w = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    xsy = np.random.default_rng(seed).standard_normal((n_samples, spec.n_total))
-    xsy = xsy @ symmetric_sqrt(spec.q)
+    rng = np.random.default_rng(seed)
+    xsy = rng.standard_normal((n_samples, spec.n_total)) @ symmetric_sqrt(spec.q)
     x = xsy[:, : spec.n_x]
     s = xsy[:, spec.n_x : spec.n_x + spec.n_s]
     y = xsy[:, spec.n_x + spec.n_s :]
-    w = rng_w.standard_normal((n_samples, spec.n_x)) @ symmetric_sqrt(channel.q_w)
+    w = rng.standard_normal((n_samples, spec.n_x)) @ symmetric_sqrt(channel.q_w)
     sq_err = np.sum((x - (s @ channel.h.T + y @ channel.g.T + w)) ** 2, axis=1)
     return float(np.mean(sq_err)), float(np.std(sq_err, ddof=1) / math.sqrt(n_samples))
 

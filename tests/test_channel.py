@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from remoterdf.channel import (
     _CHUNK_ROWS,
+    _error_factor,
     STRUCT_TOL,
     build_channel,
     joint_with_reproduction,
@@ -829,6 +830,25 @@ class TestDistortionCovariance:
             assert abs(rates.rate - sol.rate) < 1e-8
 
 
+# Instances of the Monte Carlo law tests: generated specs at n and distortion
+# fraction (1.2 is above the range's upper end), the singular joint and a
+# non-square shape.
+LAW_CASES = [(n, frac) for n in (1, 2, 8, 16) for frac in (0.1, 0.5, 0.9, 1.2)] + [
+    "singular-joint", "non-square"]
+
+
+def law_instance(case):
+    if case == "singular-joint":
+        spec = wyner_spec(1.0)
+        return spec, channel_at(spec, 0.5)
+    if case == "non-square":
+        spec = rectangular_spec(np.random.default_rng(5), 3, 2, 2)
+        return spec, waterfill_channel(spec, 0.5)[0]
+    n, frac = case
+    spec = generated_spec(np.random.default_rng(40 + n), n, 2)
+    return spec, waterfill_channel(spec, frac)[0]
+
+
 class TestSimulateChannel:
     def test_scalar_example_concentrates(self, scalar_spec):
         ch = channel_at(scalar_spec, 0.375)
@@ -861,6 +881,26 @@ class TestSimulateChannel:
         sim = simulate_channel(spec, ch, n_samples=200_000, seed=13)
         assert abs(sim.empirical_distortion - 0.5) < 4 * sim.standard_error
 
+    @pytest.mark.parametrize("case", LAW_CASES, ids=str)
+    def test_error_factor_has_the_errors_law(self, case):
+        # R^T R is Cov(X - X_hat) of the full realization, read off the
+        # joint covariance of (X, S, Y, X_hat): J_xx - J_xxh - J_xhx + J_xhxh.
+        spec, ch = law_instance(case)
+        r = _error_factor(spec, ch)
+        assert r.shape == (spec.n_x, spec.n_x)
+        assert np.max(np.abs(r.T @ r - distortion_covariance(spec, ch))) <= 1e-12 * spec.scale
+
+    @pytest.mark.parametrize("case", LAW_CASES, ids=str)
+    def test_sampler_agrees_in_law_with_the_full_realization(self, case):
+        # The sampler and the reference that draws X, S, Y and W, on
+        # different seeds: their means must agree within 4 standard errors
+        # of the difference.
+        spec, ch = law_instance(case)
+        sim = simulate_channel(spec, ch, n_samples=200_000, seed=21)
+        mean, se = simulate_whole_array(spec, ch, 200_000, seed=22)
+        bound = 4.0 * math.hypot(sim.standard_error, se)
+        assert abs(sim.empirical_distortion - mean) <= bound
+
     @pytest.mark.parametrize(
         "n_samples", [2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5]
     )
@@ -882,9 +922,8 @@ class TestSimulateChannel:
     @pytest.mark.parametrize("n_samples", [2, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5])
     def test_each_normal_is_drawn_once(self, monkeypatch, n_samples):
         # Every generator the simulation makes is wrapped and its normals are
-        # kept: there are n_samples * (n_total + n_x) of them in all, so none
-        # is drawn only to be thrown away, and those of the generator seeded
-        # with the seed itself are the (X, S, Y) stream of one whole draw.
+        # kept: there is one, seeded with the seed itself (none is spawned),
+        # and its n_samples * n_x normals are the whole draw of that seed.
         spec = generated_spec(np.random.default_rng(42), 8, 2)
         ch, _ = waterfill_channel(spec, 0.4)
         seed = 9
@@ -904,18 +943,20 @@ class TestSimulateChannel:
         monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
         simulate_channel(spec, ch, n_samples=n_samples, seed=seed)
 
-        assert sum(x.size for _, normals in drawn for x in normals) == n_samples * (
-            spec.n_total + spec.n_x)
-        xsy = [np.concatenate(normals) for source, normals in drawn if source == seed]
-        assert len(xsy) == 1
-        whole = make_rng(seed).standard_normal((n_samples, spec.n_total)).ravel()
-        assert np.array_equal(xsy[0], whole)
+        assert [source for source, _ in drawn] == [seed]
+        normals = np.concatenate(drawn[0][1])
+        assert normals.size == n_samples * spec.n_x
+        whole = make_rng(seed).standard_normal((n_samples, spec.n_x)).ravel()
+        assert np.array_equal(normals, whole)
 
     @staticmethod
     def assert_same_draws(spec, ch, n_samples, seed):
+        # The chunked sampler against one whole-array draw through the factor.
         sim = simulate_channel(spec, ch, n_samples=n_samples, seed=seed)
-        mean, se = simulate_whole_array(spec, ch, n_samples, seed)
-        assert sim.empirical_distortion == pytest.approx(mean, rel=1e-12, abs=0)
+        err = np.random.default_rng(seed).standard_normal((n_samples, spec.n_x))
+        sq_err = np.sum((err @ _error_factor(spec, ch)) ** 2, axis=1)
+        se = np.std(sq_err, ddof=1) / math.sqrt(n_samples)
+        assert sim.empirical_distortion == pytest.approx(np.mean(sq_err), rel=1e-12, abs=0)
         assert sim.standard_error == pytest.approx(se, rel=1e-12, abs=0)
 
     def test_memory_is_bounded_for_large_sample_counts(self):
