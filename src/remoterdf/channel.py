@@ -47,8 +47,9 @@ from .core import SYM_TOL_SCALE, ConditionalStats, GaussianSourceSpec, symmetric
 from .errors import InfeasibleSigmaError
 from .waterfill import WaterfillSolution
 
-# Threshold for the structural residual, which is divided by the largest
-# diagonal entry of the joint covariance: rescaling an instance moves neither.
+# Threshold for the structural residual, each of whose entries is divided by
+# the standard deviations of its two variables: rescaling any component of X,
+# S or Y moves neither.
 STRUCT_TOL = 1e-8
 
 # Rows per Monte Carlo chunk: keeps the simulation's memory independent of
@@ -133,14 +134,13 @@ def _channel(spec: GaussianSourceSpec, stats: ConditionalStats, sigma: np.ndarra
                        nu_complement=nu_complement)
 
 
-def optimal_channel(
-    spec: GaussianSourceSpec, stats: ConditionalStats, sol: WaterfillSolution
-) -> TestChannel:
-    """The optimal channel of a water-filling solution `sol` on `stats`: R = I,
-    nu = lambda d^2 and 1 - nu = min(1, d^2 / (2 xi)) from the level, so no
-    eigendecomposition is taken and the rate is the solver's down to
-    delta_min.  The solver's allocation is feasible by construction, so
-    nothing is tested or refused."""
+def optimal_channel(spec: GaussianSourceSpec, sol: WaterfillSolution) -> TestChannel:
+    """The optimal channel of a water-filling solution `sol` of `spec`, built
+    on `spec.stats`: R = I, nu = lambda d^2 and 1 - nu = min(1, d^2 / (2 xi))
+    from the level, so no eigendecomposition is taken and the rate is the
+    solver's down to delta_min.  The solver's allocation is feasible by
+    construction, so nothing is tested or refused."""
+    stats = spec.stats
     nu = sol.lam[stats.active] * stats.d_sq
     nu_complement = np.minimum(1.0, stats.d_sq / (2.0 * sol.xi))
     return _channel(spec, stats, sol.sigma_delta, np.eye(nu.size), nu, nu_complement)
@@ -214,21 +214,20 @@ def joint_with_reproduction(spec: GaussianSourceSpec, channel: TestChannel) -> n
 def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> StructuralReport:
     """Analytic residual of the conditional-mean identity E(X|X_hat, Y) = X_hat.
 
-    The residual "cond_mean_identity" is ||Cov(X - X_hat, (Y, X_hat))||_F
-    divided by the largest diagonal entry of the joint covariance of
-    (X, S, Y), so rescaling the instance does not move it.  It is read off
-    the joint covariance induced by the channel matrices (no sampling).  For
+    The residual "cond_mean_identity" is the Frobenius norm of
+    Cov(X - X_hat, V), V = (Y, X_hat), with entry (i, j) divided by
+    sqrt(Var X_i Var V_j) (Var X_j for X_hat_j, and 0 where that is 0), so
+    the units of X, S and Y do not move it.  It is read off the
+    joint covariance induced by the channel matrices (no sampling).  For
     jointly Gaussian zero-mean variables it vanishes exactly when the
     identity holds (orthogonality principle): an uncorrelated error
     is independent of (X_hat, Y), so E(X|X_hat, Y) = X_hat, and a conditional
     mean always leaves such an error.  No inverse is taken, so zero-rate and
     barely active channels (Cov(X_hat|Y) nearly singular) stay exact.
 
-    It is the only residual.  The other structural properties hold for any
-    channel `build_channel` can return, or follow from this identity (see
-    the module docstring), so their residuals could flag nothing this one
-    misses except round-off, which the pseudoinverses they needed amplified
-    into false failures of correct channels.
+    It is the only residual: the other structural properties hold for any
+    channel either front-end builds, or follow from this identity (see the
+    module docstring).
 
     Never raises; reports are for inspection and thresholding at `tol`.
     """
@@ -236,8 +235,11 @@ def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> Structur
     sx = slice(0, spec.n_x)
     sxh = slice(spec.n_total, spec.n_total + spec.n_x)
     tail = slice(spec.n_x + spec.n_s, None)  # the (Y, X_hat) columns
-    r_cond_mean = float(np.linalg.norm(joint[sx, tail] - joint[sxh, tail], "fro")) / spec.scale
-    return StructuralReport(residuals={"cond_mean_identity": r_cond_mean})
+    error = joint[sx, tail] - joint[sxh, tail]
+    var_x = np.diagonal(spec.q_x)
+    unit = np.sqrt(np.outer(var_x, np.concatenate([np.diagonal(spec.q_y), var_x])))
+    scaled = np.divide(error, unit, out=np.zeros_like(error), where=unit > 0.0)
+    return StructuralReport(residuals={"cond_mean_identity": float(np.linalg.norm(scaled, "fro"))})
 
 
 def _log_det(chol: np.ndarray) -> float:

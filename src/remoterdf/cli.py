@@ -28,11 +28,10 @@ import sys
 import numpy as np
 
 from .channel import optimal_channel, rate_of_channel, simulate_channel, verify_structure
-from .core import conditional_stats
-from .errors import BelowRangeError, RemoteRdfError
+from .errors import RemoteRdfError
 from .oracle import OracleResolution, brute_force_rdf, remark3_discrepancy, require_grid_dimensions
 from .specfile import load_spec_file
-from .waterfill import distortion_range, rdf_curve, solve_waterfill, spectral_setup
+from .waterfill import rdf_curve, solve_waterfill
 
 LN2 = math.log(2.0)
 # Fewest Monte Carlo samples `verify` accepts.  Its check is judged against
@@ -150,24 +149,12 @@ def _matrix(m: np.ndarray) -> list:
     return np.asarray(m, dtype=float).tolist()
 
 
-def _solve(spec, delta: float):
-    """The analysed instance and its water-filling solution at `delta`."""
-    stats = spectral_setup(spec, conditional_stats(spec))
-    return stats, solve_waterfill(spec, stats, delta)
-
-
 def cmd_channel(args) -> int:
     loaded = load_spec_file(args.spec)
     spec = loaded.spec
-    try:
-        stats, sol = _solve(spec, args.delta)
-    except BelowRangeError as exc:
-        return _fail(
-            f"infinite rate at lower boundary (delta {args.delta!r} <= delta_min "
-            f"{exc.delta_min!r})"
-        )
-    lo, hi = distortion_range(spec, stats)
-    ch = optimal_channel(spec, stats, sol)
+    sol = solve_waterfill(spec, spec.stats, args.delta)
+    lo, hi = spec.stats.delta_min, spec.stats.trace_xy
+    ch = optimal_channel(spec, sol)
     rates = rate_of_channel(spec, ch)
     report = verify_structure(spec, ch)
     matrices = {name: _matrix(getattr(ch, name)) for name in _CHANNEL_MATRICES}
@@ -218,8 +205,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--samples must be at least {MIN_SAMPLES}, got {args.samples}")
     loaded = load_spec_file(args.spec)
     spec = loaded.spec
-    stats, sol = _solve(spec, args.delta)
-    ch = optimal_channel(spec, stats, sol)
+    sol = solve_waterfill(spec, spec.stats, args.delta)
+    ch = optimal_channel(spec, sol)
     report = verify_structure(spec, ch)
     sim = simulate_channel(spec, ch, n_samples=args.samples, seed=args.seed)
     trace_sigma = float(np.trace(ch.sigma_delta))
@@ -265,10 +252,8 @@ def cmd_oracle(args) -> int:
     loaded = load_spec_file(args.spec)
     spec = loaded.spec
     require_grid_dimensions(spec)  # before the solve, so its refusal is the one reported
-    _, sol = _solve(spec, args.delta)
-    resolution = OracleResolution(
-        eig_points=args.resolution, angle_points=args.angle_points
-    )
+    sol = solve_waterfill(spec, spec.stats, args.delta)
+    resolution = OracleResolution(eig_points=args.resolution, angle_points=args.angle_points)
     oracle = brute_force_rdf(spec, args.delta, resolution)
 
     # Resolution-derived tolerance in nats: first-order in the eigenvalue

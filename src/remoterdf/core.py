@@ -25,13 +25,8 @@ RANK_TOL = 1e-12       # singular values below RANK_TOL * sigma_max count as zer
 
 
 def psd_tolerance(largest_eigenvalue: float) -> float:
-    """Eigenvalue tolerance for PSD tests at the scale of this largest eigenvalue.
-
-    Purely relative, so rescaling an instance rescales every tolerance with
-    it.  Callers pass the largest eigenvalue of the matrix whose scale sets
-    the round-off: the matrix tested, or the instance's Q_{X|Y} when the
-    tested matrix can be tiny next to it.
-    """
+    """Eigenvalue tolerance for PSD tests at the scale of this largest eigenvalue
+    (of the matrix tested, or of Q_{X|Y} where that can be tiny next to it)."""
     return PSD_TOL_SCALE * largest_eigenvalue
 
 
@@ -39,12 +34,24 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def unit_roots(variances: np.ndarray) -> np.ndarray:
+    """Units of components with these variances: the root of each positive one, else 1."""
+    return np.sqrt(np.where(variances > 0.0, variances, 1.0))
+
+
+def _in_units(m: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """D^{-1/2} m D^{-1/2}, D^{1/2} = diag(`unit_roots(variances)`)."""
+    r = unit_roots(variances)
+    return m / np.outer(r, r)
+
+
 @dataclass(frozen=True)
 class GaussianSourceSpec:
     """Validated joint covariance of (X, S, Y) with its block dimensions.
 
     `q` is the symmetrized (n_x+n_s+n_y)-square covariance; `sym_residual`
-    records how asymmetric the raw input was before symmetrization.
+    records how asymmetric the raw input was before symmetrization; `stats`
+    is the analysed instance that `validate_spec` builds and every stage reads.
     """
 
     n_x: int
@@ -57,10 +64,10 @@ class GaussianSourceSpec:
     def n_total(self) -> int:
         return self.n_x + self.n_s + self.n_y
 
-    @property
-    def scale(self) -> float:
-        """Largest diagonal entry of the joint: the unit of absolute thresholds."""
-        return float(np.max(np.diagonal(self.q)))
+    @cached_property
+    def stats(self) -> ConditionalStats:
+        """`conditional_stats(self)`, built once and cached."""
+        return conditional_stats(self)
 
     # Block slices, in (X, S, Y) order.
     @property
@@ -140,11 +147,8 @@ class ConditionalStats:
 
     @cached_property
     def u(self) -> np.ndarray:
-        """Right singular vectors of F, paired with `s`, each with its first
-        largest-magnitude entry positive."""
-        u = np.linalg.svd(self.f, full_matrices=False)[2].T
-        lead = np.argmax(np.abs(u), axis=0)
-        return u * np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+        """Right singular vectors of F, paired with `s`."""
+        return np.linalg.svd(self.f, full_matrices=False)[2].T
 
     @cached_property
     def d_sq(self) -> np.ndarray:
@@ -173,7 +177,11 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
     The matrix is symmetrized via (Q + Q^T)/2 before the PSD tests and the
     asymmetry residual is recorded on the returned spec.  The joint is PSD
     exactly when Q_Y is positive definite and the covariance of (X, S) given
-    Y is PSD, so those two are tested and the joint's own spectrum is not.
+    Y is PSD, so those two are tested (building `spec.stats`) and the
+    joint's own spectrum is not.  Each is tested as D^{-1/2} B D^{-1/2}, D
+    the positive part of B's diagonal, so rescaling any component of X, S or
+    Y moves no verdict; a conditional variance that is not positive is
+    measured in its component's unconditional one.
 
     Parameters
     ----------
@@ -185,10 +193,9 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
     ValueError
         Wrong shape or non-positive dimensions.
     NotSymmetricError, NotPSDError, SingularYError, NotPSDError
-        Structured rejections, in that precedence order; the first
-        NotPSDError is for Q_Y, with an eigenvalue below minus the PSD
-        tolerance of its own largest, the second for the covariance of
-        (X, S) given Y.
+        Structured rejections, in that precedence order (Q_Y, then (X, S)
+        given Y), each for an eigenvalue of D^{-1/2} B D^{-1/2} below minus
+        the PSD tolerance of its largest.
     """
     n_x, n_s, n_y = (int(d) for d in dims)
     if min(n_x, n_s, n_y) <= 0:
@@ -209,20 +216,22 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
     q.setflags(write=False)
     spec = GaussianSourceSpec(n_x=n_x, n_s=n_s, n_y=n_y, q=q, sym_residual=sym_residual)
 
-    # Against Q_Y's own scale: the problem is unchanged by Y -> cY, and a Y
-    # in units far from X's (say Var X = 1e24, Var Y = 1) is a valid instance.
-    y_eigs = np.linalg.eigvalsh(spec.q_y)
+    y_eigs = np.linalg.eigvalsh(_in_units(spec.q_y, np.diagonal(spec.q_y)))
     y_tol = psd_tolerance(float(y_eigs[-1]))
     if float(y_eigs[0]) < -y_tol:
         raise NotPSDError(float(y_eigs[0]), y_tol, "side-information covariance block")
     if float(y_eigs[0]) <= INV_TOL * float(y_eigs[-1]):
         raise SingularYError(float(y_eigs[0]), INV_TOL * float(y_eigs[-1]))
 
-    # With Q_Y > 0 the joint is PSD exactly when this Schur complement is; at
-    # its own scale, so a small-variance Y cannot hide its negative eigenvalues.
-    stats = conditional_stats(spec)
-    xs_eigs = np.linalg.eigvalsh(np.block([[stats.q_x_given_y, stats.q_xs_given_y],
-                                           [stats.q_xs_given_y.T, stats.q_s_given_y]]))
+    # With Q_Y > 0 the joint is PSD exactly when this Schur complement is; in
+    # its own units, so neither a small-variance Y nor a large-variance S can
+    # hide a negative eigenvalue.
+    stats = spec.stats
+    xs = np.block([[stats.q_x_given_y, stats.q_xs_given_y],
+                   [stats.q_xs_given_y.T, stats.q_s_given_y]])
+    given_y = np.diagonal(xs)
+    xs_eigs = np.linalg.eigvalsh(
+        _in_units(xs, np.where(given_y > 0.0, given_y, np.diagonal(q)[: n_x + n_s])))
     xs_tol = psd_tolerance(float(xs_eigs[-1]))
     if float(xs_eigs[0]) < -xs_tol:
         raise NotPSDError(float(xs_eigs[0]), xs_tol, "covariance of (X, S) given Y")
@@ -230,7 +239,8 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
 
 
 def conditional_stats(spec: GaussianSourceSpec) -> ConditionalStats:
-    """Compute the conditional covariances Q_{X|Y}, Q_{S|Y} and Q_{X,S|Y}.
+    """Build the conditional covariances Q_{X|Y}, Q_{S|Y} and Q_{X,S|Y} afresh;
+    `spec.stats` holds the one build that the package's stages share.
 
     Each is the Schur complement of Q_Y, e.g.
     Q_{X,S|Y} = Q_{X,S} - Q_{X,Y} Q_Y^{-1} Q_{Y,S}; `validate_spec` has

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConditionalStats, GaussianSourceSpec, conditional_stats, symmetrize
+from .core import ConditionalStats, GaussianSourceSpec, symmetrize
 from .errors import BelowRangeError
 
 # Allocation entries (points x active components) rdf_curve solves at once.
@@ -94,11 +94,8 @@ class RdfCurve:
 
 
 def spectral_setup(spec: GaussianSourceSpec, stats: ConditionalStats) -> ConditionalStats:
-    """Return `stats` once their reduction (`d_sq`, `trace_xy`, `delta_min`)
-    is computed, for any n_x, n_s and rank of Q_{X,S|Y}.  Only a Q_{S|Y} with
-    no Cholesky factor is refused (HypothesisViolatedError "Q_{S|Y} > 0");
-    no singular vector is computed.
-    """
+    """Return `stats` once their reduction is computed; a Q_{S|Y} with no
+    Cholesky factor is refused (HypothesisViolatedError "Q_{S|Y} > 0")."""
     stats.delta_min  # computes the reduction, so a refusal is raised here
     return stats
 
@@ -242,7 +239,7 @@ def rdf_curve(spec: GaussianSourceSpec, deltas) -> RdfCurve:
     ordered = grid[finite]
     if np.any(ordered[1:] < ordered[:-1]):
         raise ValueError("distortion grid must be sorted ascending")
-    stats = conditional_stats(spec)
+    stats = spec.stats
     feasible = finite & _finite_rate(stats, grid)
     xi = np.zeros(grid.size)
     rate = np.zeros(grid.size)

@@ -471,6 +471,31 @@ class TestVerifyStructure:
             counts.add(sol.active_count)
         assert counts == set(range(n + 1))
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 1), (2, 2), (8, 8), (3, 1), (2, 4)]),
+        seed=st.integers(0, 2),
+        units=st.tuples(*[st.sampled_from([1e-6, 1.0, 1e6])] * 3),
+        frac=st.sampled_from([1e-6, 0.3, 0.9, 1.2]),
+    )
+    def test_verdict_free_of_units(self, shape, seed, units, frac):
+        # X, S and Y each in units of 1e-6, 1 or 1e6.  Optimal channels pass
+        # and channels with H or G shrunk by 1 % fail (H is zero above
+        # delta_plus).  A residual measured in the largest variance of the
+        # joint would let a large-unit Y shrink a wrong channel's below tol.
+        spec = rectangular_spec(np.random.default_rng(seed), *shape, 2)
+        scale = np.repeat(units, [spec.n_x, spec.n_s, spec.n_y])
+        spec = validate_spec(spec.q * np.outer(scale, scale), (*shape, 2))
+        stats = spec.stats
+        sol = solve_waterfill(spec, stats, stats.delta_min + frac * (stats.trace_xy - stats.delta_min))
+        ch = optimal_channel(spec, sol)
+        assert verify_structure(spec, ch).all_pass
+        wrong = [dataclasses.replace(ch, g=0.99 * ch.g)]
+        if frac < 1.0:
+            wrong.append(dataclasses.replace(ch, h=0.99 * ch.h))
+        for bad in wrong:
+            assert not verify_structure(spec, bad).all_pass
+
     def test_weak_cross_covariance_is_solved(self):
         # Q_{X,S|Y} = c = 1e-6 is invertible and Q_{S|Y} = 1, so the paper's
         # hypotheses hold, although Q_{X|Y} - Q_{X|S,Y} = c^2 = 1e-12 is
@@ -746,7 +771,7 @@ class TestFactorChannel:
         # At 1e-14 of the range above delta_min the rate is 127 to 1019 nats;
         # a channel built from Sigma read inf on (8, 0) and (64, 0).
         spec, stats, sol = near_min_solution(n, seed, 1e-14)
-        ch = optimal_channel(spec, stats, sol)
+        ch = optimal_channel(spec, sol)
         assert rate_of_channel(spec, ch).rate == pytest.approx(sol.rate, rel=1e-12)
         assert verify_structure(spec, ch).all_pass
 
@@ -757,7 +782,7 @@ class TestFactorChannel:
         # range above delta_min (at most 5.1e-17 / e measured here).
         for e in (1e-12, 1e-9, 1e-6):
             spec, stats, sol = near_min_solution(n, seed, e)
-            rates = rate_of_channel(spec, optimal_channel(spec, stats, sol))
+            rates = rate_of_channel(spec, optimal_channel(spec, sol))
             assert rates.rate_alt == pytest.approx(sol.rate, rel=1e-15 / e)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -769,7 +794,7 @@ class TestFactorChannel:
         spec, stats, sol = near_min_solution(8, seed, 1e-12)
         with mpmath.workdps(50):
             exact = exact_q_w(spec, sol.delta, mpmath)
-        q_w = optimal_channel(spec, stats, sol).q_w
+        q_w = optimal_channel(spec, sol).q_w
         assert np.linalg.norm(q_w - exact) <= 2e-4 * np.linalg.norm(exact)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -788,7 +813,7 @@ class TestFactorChannel:
                 for a, b in zip(totals[:-1], totals[1:]):
                     sol = solve_waterfill(spec, stats, stats.trace_xy - ((1 - eps) * a + eps * b))
                     tol = 1e-9 * max(1.0, sol.rate)
-                    for ch in (optimal_channel(spec, stats, sol),
+                    for ch in (optimal_channel(spec, sol),
                                build_channel(spec, stats, sol.sigma_delta)):
                         rates = rate_of_channel(spec, ch)
                         assert abs(rates.rate - sol.rate) <= tol, (seed, eps)
@@ -800,11 +825,12 @@ class TestFactorChannel:
         spec = rectangular_spec(np.random.default_rng(seed), *shape, 2)
         stats = conditional_stats(spec)
         sol = solve_waterfill(spec, stats, stats.delta_min + frac * (stats.trace_xy - stats.delta_min))
-        ch = optimal_channel(spec, stats, sol)
+        ch = optimal_channel(spec, sol)
         other = build_channel(spec, stats, sol.sigma_delta)
+        unit = np.max(np.diagonal(spec.q))
         for name in ("h", "g", "q_w"):
             gap = np.max(np.abs(getattr(ch, name) - getattr(other, name)))
-            assert gap <= 1e-9 * spec.scale, name
+            assert gap <= 1e-9 * unit, name
         assert rate_of_channel(spec, other).rate == pytest.approx(
             rate_of_channel(spec, ch).rate, rel=1e-9)
 
@@ -888,7 +914,8 @@ class TestSimulateChannel:
         spec, ch = law_instance(case)
         r = _error_factor(spec, ch)
         assert r.shape == (spec.n_x, spec.n_x)
-        assert np.max(np.abs(r.T @ r - distortion_covariance(spec, ch))) <= 1e-12 * spec.scale
+        unit = np.max(np.diagonal(spec.q))
+        assert np.max(np.abs(r.T @ r - distortion_covariance(spec, ch))) <= 1e-12 * unit
 
     @pytest.mark.parametrize("case", LAW_CASES, ids=str)
     def test_sampler_agrees_in_law_with_the_full_realization(self, case):

@@ -9,7 +9,7 @@ import pytest
 
 from remoterdf.channel import optimal_channel
 from remoterdf.cli import CURVE_HEADER, MIN_SAMPLES, REMARK3_HEADER, main, parse_curve_csv
-from remoterdf.core import conditional_stats, validate_spec
+from remoterdf.core import ConditionalStats, conditional_stats, validate_spec
 from remoterdf.oracle import OracleResolution, brute_force_rdf
 from remoterdf.waterfill import distortion_range, solve_waterfill, spectral_setup
 
@@ -215,7 +215,7 @@ class TestChannel:
     def test_lower_boundary_exit_1(self, capsys, spec_path):
         code, _, err = run(capsys, ["channel", spec_path, "--delta", "0.25"])
         assert code == 1
-        assert "infinite rate at lower boundary" in err
+        assert "distortion 0.25 is at or below the lower boundary 0.25" in err
 
     @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
     def test_non_finite_delta_exit_1(self, capsys, spec_path, delta):
@@ -433,6 +433,28 @@ class TestAnyShapeAndScale:
         assert json.loads(out)["records"][0]["rate_nats"] == pytest.approx(0.5 * math.log(2.0))
         code, out, _ = run(capsys, ["verify", path, "--delta", repr(delta), "--samples", "20000"])
         assert (code, json.loads(out)["verdict"]) == (0, "pass")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["curve", "--deltas", "0.3,0.375,0.45"], ["channel", "--delta", "0.375"],
+     ["verify", "--delta", "0.375", "--samples", str(MIN_SAMPLES)], ["oracle", "--delta", "0.375"]],
+    ids=lambda argv: argv[0])
+def test_each_command_builds_the_statistics_once(capsys, monkeypatch, spec_path, argv):
+    # Validation builds the analysed instance and every later stage reads it
+    # from the spec.  Stages that built their own would make curve, channel
+    # and verify build it twice, and oracle three times.
+    built = []
+    init = ConditionalStats.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConditionalStats, "__init__", counted)
+    code, out, _ = run(capsys, [argv[0], spec_path, *argv[1:]])
+    assert code == 0 and out
+    assert len(built) == 1
 
 
 class TestRemark3:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remoterdf.core import (
     conditional_stats,
@@ -19,6 +21,7 @@ from conftest import (
     NotNestedError,
     conditional_covariance,
     gaussian_cmi,
+    generated_spec,
     pseudo_inverse,
     q_x_given_sy,
     random_feasible_spec,
@@ -98,6 +101,29 @@ class TestValidateSpec:
         q[2:, 2:] = q_y
         with pytest.raises(error, match=what):
             validate_spec(q, (1, 1, 2))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        units=st.tuples(*[st.sampled_from([1e-6, 1.0, 1e6])] * 3),
+        spread=st.sampled_from([1.0, 1e-5, 1e5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdicts_free_of_units(self, units, spread, seed):
+        # X, S and Y each in units of 1e-6, 1 or 1e6, and Y's two components
+        # up to 1e5 apart.  Q_{X|Y} = -0.44 stays refused, though with S x 1e5
+        # it is far inside a tolerance of 1e-9 times the block's largest
+        # eigenvalue (10); the valid instance stays accepted, though Var Y of
+        # 1 and 1e10 make Q_Y singular to INV_TOL at its own scale.
+        scale = np.array(units)
+        bad = np.array([[1.0, 0.0, 1.2], [0.0, 1.0, 0.0], [1.2, 0.0, 1.0]])
+        with pytest.raises(NotPSDError, match="given Y") as exc:
+            validate_spec(bad * np.outer(scale, scale), (1, 1, 1))
+        assert exc.value.min_eigenvalue == pytest.approx(-0.44, rel=1e-9)
+        spec = generated_spec(np.random.default_rng(seed), 2, 2)
+        scale = np.repeat(scale, 2) * [1.0, 1.0, 1.0, 1.0, 1.0, spread]
+        valid = validate_spec(spec.q * np.outer(scale, scale), (2, 2, 2))
+        assert valid.stats.delta_min / scale[0] ** 2 == pytest.approx(spec.stats.delta_min,
+                                                                      rel=1e-9)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -160,6 +160,20 @@ class TestBruteForce:
         optimum = solve_waterfill(spec, setup, delta).rate
         assert brute_force_rdf(spec, delta).rate >= optimum - 1e-12 * max(optimum, 1.0)
 
+    @pytest.mark.parametrize("log10_c", [-6, -3, 3, 5, 6])
+    @pytest.mark.parametrize("block", ["x", "s", "y"])
+    def test_invertibility_test_free_of_units(self, scalar_spec, block, log10_c):
+        # The rate does not depend on units.  With Y x 1e5, Q_{X,S|Y}'s
+        # smallest singular value 0.5 is below INV_TOL times the largest
+        # variance of the joint, so it must be measured in X's and S's units.
+        c = np.ones(3)
+        c["xsy".index(block)] = 10.0**log10_c
+        spec = validate_spec(SCALAR_Q * np.outer(c, c), (1, 1, 1))
+        res = OracleResolution(eig_points=1001)
+        delta = 0.375 * c[0] ** 2
+        assert brute_force_rdf(spec, delta, res).rate == pytest.approx(
+            brute_force_rdf(scalar_spec, 0.375, res).rate, rel=1e-9)
+
     def test_dimension_guard(self):
         rng = np.random.default_rng(5)
         spec = random_feasible_spec(rng, 3, 1)
@@ -168,12 +182,13 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("cross", [[1e-11], [0.5, 0.0]], ids=["1x1", "2x2"])
     def test_singular_cross_covariance_refused(self, cross):
-        # Q_{X,S|Y} = diag(cross): its smallest singular value is at or below
-        # INV_TOL.
+        # Q_{X,S|Y} = diag(cross) with Q_{X|Y} = I and Q_{S|Y} = 2 I: in units
+        # of the conditional standard deviations it is diag(cross) / sqrt(2),
+        # whose smallest singular value is at or below INV_TOL.
         with pytest.raises(HypothesisViolatedError) as refusal:
             brute_force_rdf(singular_cross_spec(cross), 0.5)
         assert refusal.value.hypothesis == "Q_{X,S|Y} must be invertible"
-        assert refusal.value.value == pytest.approx(cross[-1], abs=1e-15)
+        assert refusal.value.value == pytest.approx(cross[-1] / math.sqrt(2.0), abs=1e-15)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_invalid_distortion_refused(self, scalar_spec, delta):

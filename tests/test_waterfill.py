@@ -80,11 +80,10 @@ def blocks_spec(q_s, cross):
 
 
 def reference_reduction(stats):
-    """(u, d, active, d_sq, delta_min) by a route independent of the Cholesky
+    """(d, active, d_sq, delta_min) by a route independent of the Cholesky
     factor: `eigvalsh` for both positivity checks, a second `eigh` of Q_{S|Y}
-    for its root (the clamp-and-root of `symmetric_sqrt`, written out), the
-    SVD of Q_{S|Y}^{1/2} Q_{X,S|Y}^{-1}, whose singular values are the d_i,
-    and a per-column loop for the singular-vector signs."""
+    for its root (the clamp-and-root of `symmetric_sqrt`, written out) and
+    the SVD of Q_{S|Y}^{1/2} Q_{X,S|Y}^{-1}, whose singular values are the d_i."""
     for name, m in [("Q_{S|Y} > 0", stats.q_s_given_y), ("Q_{X|Y} > 0", stats.q_x_given_y)]:
         low = float(np.min(np.linalg.eigvalsh(m)))
         if low <= INV_TOL:
@@ -92,16 +91,10 @@ def reference_reduction(stats):
     eigvals, eigvecs = np.linalg.eigh(symmetrize(stats.q_s_given_y))
     clamped = np.where(eigvals < psd_tolerance(float(eigvals[-1])), 0.0, eigvals)
     root_s = symmetrize((eigvecs * np.sqrt(clamped)) @ eigvecs.T)
-    _, d_desc, ut_desc = np.linalg.svd(np.linalg.solve(stats.q_xs_given_y.T, root_s).T)
-    d = d_desc[::-1].copy()
-    u = ut_desc[::-1, :].T.copy()
-    for i in range(d.size):
-        lead = int(np.argmax(np.abs(u[:, i])))
-        if u[lead, i] < 0.0:
-            u[:, i] = -u[:, i]
+    d = np.linalg.svd(np.linalg.solve(stats.q_xs_given_y.T, root_s).T, compute_uv=False)[::-1]
     active = np.flatnonzero(d > RANK_TOL * d[-1])
     d_sq = d[active] ** 2
-    return u, d, active, d_sq, float(np.trace(stats.q_x_given_y)) - float(np.sum(1.0 / d_sq))
+    return d, active, d_sq, float(np.trace(stats.q_x_given_y)) - float(np.sum(1.0 / d_sq))
 
 
 def assert_matches_reference(spec):
@@ -113,7 +106,7 @@ def assert_matches_reference(spec):
     """
     stats = conditional_stats(spec)
     setup = spectral_setup(spec, stats)
-    _, d_ref, active, d_sq, delta_min = reference_reduction(stats)
+    d_ref, active, d_sq, delta_min = reference_reduction(stats)
     d = ascending_d(setup)
     assert np.array_equal(setup.active, active)
     assert setup.d_sq == pytest.approx(d_sq, rel=1e-12, abs=0.0)
@@ -210,8 +203,8 @@ class TestSpectralSetup:
             isotropic_spec,
             diag_block_spec,
             lambda: wyner_spec(1.0),
-            # Right singular vectors (1, 1)/sqrt2 and (1, -1)/sqrt2: the
-            # entries of |u| tie exactly, and the first one leads.
+            # Right singular vectors (1, 1)/sqrt2 and (1, -1)/sqrt2, whose
+            # entries tie in magnitude.
             lambda: blocks_spec(np.eye(2), [[0.5, 0.25], [0.25, 0.5]]),
         ],
         ids=["isotropic", "diag-block", "wyner", "tied-lead"],
@@ -220,7 +213,7 @@ class TestSpectralSetup:
         assert_matches_reference(make())
 
     def test_singular_vectors_only_when_a_covariance_is_built(self, monkeypatch):
-        # The setup takes F's singular values once per ConditionalStats; the
+        # The spec's analysed instance takes F's singular values once; the
         # full SVD waits for the first covariance, the channel shares it, and
         # a curve never asks for it.  A channel pipeline factors Q_{S|Y} once
         # and takes the spectrum of Q_{X|Y} (for its tolerance) once; matrices
@@ -262,33 +255,25 @@ class TestSpectralSetup:
             factored.clear()
             spectra.clear()
             decomposed.clear()
-            stats = conditional_stats(spec)
-            setup = spectral_setup(spec, stats)
+            stats = spec.stats
+            rdf_curve(spec, [stats.trace_xy])
             assert calls == [False] and "u" not in vars(stats)
-            delta = 0.5 * (setup.delta_min + setup.trace_xy)
-            sol = solve_waterfill(spec, setup, delta)
-            rate_of_channel(spec, optimal_channel(spec, stats, sol))
+            delta = 0.5 * (stats.delta_min + stats.trace_xy)
+            sol = solve_waterfill(spec, stats, delta)
+            ch = optimal_channel(spec, sol)
+            rate_of_channel(spec, ch)
+            assert ch.stats is stats
             assert spectra == [] and decomposed == []
             ch = build_channel(spec, stats, sol.sigma_delta)
             rate_of_channel(spec, ch)
-            solve_waterfill(spec, setup, delta)
+            solve_waterfill(spec, stats, delta)
+            rdf_curve(spec, [delta])
             assert calls == [False, True]
             assert times_taken(factored, stats.q_s_given_y) == 1
             assert times_taken(spectra, stats.q_x_given_y) == 1
             k = stats.active.size
             assert [a.shape for a in decomposed] == [(k, k)]
             assert sorted(a.shape for a in spectra) == sorted([(k, k), (spec.n_x, spec.n_x)])
-            calls.clear()
-            rdf_curve(spec, [delta])
-            assert calls == [False]
-
-    def test_tied_lead_keeps_the_first_entry_positive(self):
-        # The two entries of each column tie in magnitude up to rounding, so
-        # the sign rule decides on whichever leads: that entry is positive.
-        u = make_setup(blocks_spec(np.eye(2), [[0.5, 0.25], [0.25, 0.5]])).u
-        assert np.abs(u[0]) == pytest.approx(np.abs(u[1]), rel=1e-15)
-        lead = np.argmax(np.abs(u), axis=0)
-        assert np.all(u[lead, np.arange(2)] > 0.0)
 
     @pytest.mark.parametrize("low", [0.0, -1e-12])
     def test_q_s_given_y_at_or_below_inv_tol_refused(self, low):
