@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SYM_TOL_SCALE, ConditionalStats, GaussianSourceSpec, symmetric_sqrt, symmetrize
+from .core import (SYM_TOL_SCALE, ConditionalStats, GaussianSourceSpec, in_units, symmetric_sqrt,
+                   symmetrize)
 from .errors import InfeasibleSigmaError
 from .waterfill import WaterfillSolution
 
@@ -62,10 +63,9 @@ class TestChannel:
     """Realization matrices of the optimal reproduction channel.
 
     `q_xhat_given_y` and `q_s_given_xhat_y` are derived at construction and
-    carried along because every consumer needs them; `stats` is the instance
-    it was built on, whose factor of Q_{S|Y} the measurement-side rate
-    reuses.  `nu_complement` holds 1 - nu, one entry per active component
-    (see the module docstring), from which `rate_of_channel` reads the rate.
+    carried along because every consumer needs them.  `nu_complement` holds
+    1 - nu, one entry per active component (see the module docstring), from
+    which `rate_of_channel` reads the rate.
     """
 
     __test__ = False  # domain type, not a pytest class
@@ -76,20 +76,19 @@ class TestChannel:
     sigma_delta: np.ndarray
     q_xhat_given_y: np.ndarray
     q_s_given_xhat_y: np.ndarray
-    stats: ConditionalStats
     nu_complement: np.ndarray
 
 
 @dataclass(frozen=True)
 class StructuralReport:
-    """Frobenius residuals of the structural checks, zero when they hold."""
+    """Frobenius residuals of the structural checks, zero when they hold; each
+    passes under STRUCT_TOL."""
 
     residuals: dict[str, float]
-    tol: float = STRUCT_TOL
 
     @property
     def passes(self) -> dict[str, bool]:
-        return {name: value < self.tol for name, value in self.residuals.items()}
+        return {name: value < STRUCT_TOL for name, value in self.residuals.items()}
 
     @property
     def all_pass(self) -> bool:
@@ -130,8 +129,7 @@ def _channel(spec: GaussianSourceSpec, stats: ConditionalStats, sigma: np.ndarra
     q_s_post = stats.chol @ (np.eye(v.shape[0]) - (v * nu) @ v.T) @ stats.chol.T
     return TestChannel(h=h, g=g, q_w=symmetrize((t * (nu * nu_complement)) @ t.T),
                        sigma_delta=sigma, q_xhat_given_y=symmetrize((t * nu) @ t.T),
-                       q_s_given_xhat_y=symmetrize(q_s_post), stats=stats,
-                       nu_complement=nu_complement)
+                       q_s_given_xhat_y=symmetrize(q_s_post), nu_complement=nu_complement)
 
 
 def optimal_channel(spec: GaussianSourceSpec, sol: WaterfillSolution) -> TestChannel:
@@ -215,12 +213,12 @@ def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> Structur
     """Analytic residual of the conditional-mean identity E(X|X_hat, Y) = X_hat.
 
     The residual "cond_mean_identity" is the Frobenius norm of
-    Cov(X - X_hat, V), V = (Y, X_hat), with entry (i, j) divided by
-    sqrt(Var X_i Var V_j) (Var X_j for X_hat_j, and 0 where that is 0), so
-    the units of X, S and Y do not move it.  It is read off the
-    joint covariance induced by the channel matrices (no sampling).  For
-    jointly Gaussian zero-mean variables it vanishes exactly when the
-    identity holds (orthogonality principle): an uncorrelated error
+    Cov(X - X_hat, V), V = (Y, X_hat), `in_units` of Var X (rows) and of
+    Var Y, Var X (columns, Var X_j for X_hat_j), so the units of X, S and Y
+    do not move it and a zero-variance X_i measures its entries in unit 1.
+    It is read off the joint covariance induced by the channel matrices (no
+    sampling).  For jointly Gaussian zero-mean variables it vanishes exactly
+    when the identity holds (orthogonality principle): an uncorrelated error
     is independent of (X_hat, Y), so E(X|X_hat, Y) = X_hat, and a conditional
     mean always leaves such an error.  No inverse is taken, so zero-rate and
     barely active channels (Cov(X_hat|Y) nearly singular) stay exact.
@@ -229,7 +227,7 @@ def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> Structur
     channel either front-end builds, or follow from this identity (see the
     module docstring).
 
-    Never raises; reports are for inspection and thresholding at `tol`.
+    Never raises; reports are for inspection and thresholding at STRUCT_TOL.
     """
     joint = joint_with_reproduction(spec, channel)
     sx = slice(0, spec.n_x)
@@ -237,8 +235,7 @@ def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> Structur
     tail = slice(spec.n_x + spec.n_s, None)  # the (Y, X_hat) columns
     error = joint[sx, tail] - joint[sxh, tail]
     var_x = np.diagonal(spec.q_x)
-    unit = np.sqrt(np.outer(var_x, np.concatenate([np.diagonal(spec.q_y), var_x])))
-    scaled = np.divide(error, unit, out=np.zeros_like(error), where=unit > 0.0)
+    scaled = in_units(error, var_x, np.concatenate([np.diagonal(spec.q_y), var_x]))
     return StructuralReport(residuals={"cond_mean_identity": float(np.linalg.norm(scaled, "fro"))})
 
 
@@ -255,7 +252,7 @@ def rate_of_channel(spec: GaussianSourceSpec, channel: TestChannel) -> ChannelRa
     1 - nu is 0; for `optimal_channel` it is the water-filling rate to
     rounding, down to delta_min.  `rate_alt` is 0.5 log det Q_{S|Y} /
     det Q_{S|X_hat,Y} by Cholesky, on the stored posterior and the prior's
-    factor in `channel.stats`; ``inf`` when the posterior is not positive
+    factor in `spec.stats`; ``inf`` when the posterior is not positive
     definite.  Near delta_min that posterior is Q_{S|Y} less a term of nearly
     its size, so at e of the range above delta_min `rate_alt` has a relative
     error of about 1e-16 / e, and at e = 1e-14 it can be off by tenths of a
@@ -265,7 +262,7 @@ def rate_of_channel(spec: GaussianSourceSpec, channel: TestChannel) -> ChannelRa
     rate = max(0.0, -0.5 * float(np.sum(np.log(nu_c)))) if np.all(nu_c > 0.0) else math.inf
     try:
         posterior = np.linalg.cholesky(channel.q_s_given_xhat_y)
-        rate_alt = max(0.0, 0.5 * (_log_det(channel.stats.chol) - _log_det(posterior)))
+        rate_alt = max(0.0, 0.5 * (_log_det(spec.stats.chol) - _log_det(posterior)))
     except np.linalg.LinAlgError:
         rate_alt = math.inf
     discrepancy = 0.0 if math.isinf(rate) and math.isinf(rate_alt) else abs(rate - rate_alt)

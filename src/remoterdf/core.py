@@ -34,15 +34,14 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def unit_roots(variances: np.ndarray) -> np.ndarray:
-    """Units of components with these variances: the root of each positive one, else 1."""
-    return np.sqrt(np.where(variances > 0.0, variances, 1.0))
-
-
-def _in_units(m: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """D^{-1/2} m D^{-1/2}, D^{1/2} = diag(`unit_roots(variances)`)."""
-    r = unit_roots(variances)
-    return m / np.outer(r, r)
+def in_units(m: np.ndarray, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """m with entry (i, j) divided by sqrt(rows_i cols_j), a variance that is
+    not positive counting as 1 (`cols` defaults to `rows`).  The one place
+    where a variance becomes a unit, so no check depends on the units of X,
+    S or Y."""
+    cols = rows if cols is None else cols
+    r, c = (np.sqrt(np.where(v > 0.0, v, 1.0)) for v in (rows, cols))
+    return m / np.outer(r, c)
 
 
 @dataclass(frozen=True)
@@ -178,10 +177,10 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
     asymmetry residual is recorded on the returned spec.  The joint is PSD
     exactly when Q_Y is positive definite and the covariance of (X, S) given
     Y is PSD, so those two are tested (building `spec.stats`) and the
-    joint's own spectrum is not.  Each is tested as D^{-1/2} B D^{-1/2}, D
-    the positive part of B's diagonal, so rescaling any component of X, S or
-    Y moves no verdict; a conditional variance that is not positive is
-    measured in its component's unconditional one.
+    joint's own spectrum is not.  Each is tested `in_units` of its own
+    diagonal, so rescaling any component of X, S or Y moves no verdict; a
+    conditional variance that is not positive is measured in its
+    component's unconditional one.
 
     Parameters
     ----------
@@ -216,7 +215,7 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
     q.setflags(write=False)
     spec = GaussianSourceSpec(n_x=n_x, n_s=n_s, n_y=n_y, q=q, sym_residual=sym_residual)
 
-    y_eigs = np.linalg.eigvalsh(_in_units(spec.q_y, np.diagonal(spec.q_y)))
+    y_eigs = np.linalg.eigvalsh(in_units(spec.q_y, np.diagonal(spec.q_y)))
     y_tol = psd_tolerance(float(y_eigs[-1]))
     if float(y_eigs[0]) < -y_tol:
         raise NotPSDError(float(y_eigs[0]), y_tol, "side-information covariance block")
@@ -231,7 +230,7 @@ def validate_spec(raw: np.ndarray, dims: tuple[int, int, int]) -> GaussianSource
                    [stats.q_xs_given_y.T, stats.q_s_given_y]])
     given_y = np.diagonal(xs)
     xs_eigs = np.linalg.eigvalsh(
-        _in_units(xs, np.where(given_y > 0.0, given_y, np.diagonal(q)[: n_x + n_s])))
+        in_units(xs, np.where(given_y > 0.0, given_y, np.diagonal(q)[: n_x + n_s])))
     xs_tol = psd_tolerance(float(xs_eigs[-1]))
     if float(xs_eigs[0]) < -xs_tol:
         raise NotPSDError(float(xs_eigs[0]), xs_tol, "covariance of (X, S) given Y")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import INV_TOL, GaussianSourceSpec, unit_roots
+from .core import INV_TOL, GaussianSourceSpec, in_units
 from .errors import DimensionUnsupportedError, HypothesisViolatedError, ResolutionTooCoarseError
 
 # A prior-work noise variance this many times the correct channel's output
@@ -195,8 +195,8 @@ def brute_force_rdf(
     ValueError
         delta not finite and positive, or a resolution below the minimum.
     HypothesisViolatedError
-        Q_{X,S|Y} singular (the grid inverts it): its smallest singular value
-        in the `unit_roots` of Q_{X|Y} (rows) and Q_{S|Y} is at most INV_TOL.
+        Q_{X,S|Y} singular (the grid inverts it): its smallest singular value,
+        `in_units` of Q_{X|Y} (rows) and Q_{S|Y} (columns), is at most INV_TOL.
     ResolutionTooCoarseError
         Fewer than 10 feasible candidates.
     """
@@ -206,8 +206,8 @@ def brute_force_rdf(
     if res.eig_points < 2 or res.angle_points < 1:
         raise ValueError("resolution must have at least 2 eigenvalue and 1 angle point")
     stats = spec.stats
-    cross = stats.q_xs_given_y / np.outer(unit_roots(np.diagonal(stats.q_x_given_y)),
-                                          unit_roots(np.diagonal(stats.q_s_given_y)))
+    cross = in_units(stats.q_xs_given_y, np.diagonal(stats.q_x_given_y),
+                     np.diagonal(stats.q_s_given_y))
     cross_min = float(np.linalg.svd(cross, compute_uv=False)[-1])
     if cross_min <= INV_TOL:
         raise HypothesisViolatedError("Q_{X,S|Y} must be invertible", cross_min)

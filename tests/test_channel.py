@@ -176,15 +176,18 @@ class TestBuildChannel:
     @pytest.mark.parametrize("c", [1.0, 1e-9])
     def test_asymmetric_sigma_refused_at_every_scale(self, c):
         # 0.3 max|Sigma| added to one off-diagonal entry leaves Sigma 37 %
-        # asymmetric; the allowance is relative to ||Sigma||_F at any scale.
+        # asymmetric, and 1e-8 ||Sigma||_F is ten times the allowance
+        # SYM_TOL_SCALE ||Sigma||_F; it is relative to Sigma at any scale.
         spec = validate_spec(c * generated_spec(np.random.default_rng(55), 2, 1).q, (2, 2, 1))
         stats = conditional_stats(spec)
         setup = spectral_setup(spec, stats)
         lo, hi = distortion_range(spec, setup)
-        sigma = solve_waterfill(spec, setup, 0.5 * (lo + hi)).sigma_delta.copy()
-        sigma[0, 1] += 0.3 * np.max(np.abs(sigma))
-        with pytest.raises(InfeasibleSigmaError, match="not symmetric"):
-            build_channel(spec, stats, sigma)
+        sigma = solve_waterfill(spec, setup, 0.5 * (lo + hi)).sigma_delta
+        for asymmetry in (0.3 * np.max(np.abs(sigma)), 1e-8 * np.linalg.norm(sigma, "fro")):
+            bad = sigma.copy()
+            bad[0, 1] += asymmetry
+            with pytest.raises(InfeasibleSigmaError, match="not symmetric"):
+                build_channel(spec, stats, bad)
 
 
 def tiny_component_spec():
@@ -196,6 +199,14 @@ def tiny_component_spec():
     mix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 100.0], [1.0, 0.0]])
     q = mix @ np.diag([1.0, 1e-11]) @ mix.T + np.diag([0.0, 0.0, 0.5, 1e-8, 1.0])
     return validate_spec(q, (2, 2, 1))
+
+
+def zero_variance_spec(seed, n_x, n_s, n_y, i, c=1.0):
+    """c times a `rectangular_spec` with row and column i zeroed, so that the
+    source component X_i is 0 almost surely."""
+    q = rectangular_spec(np.random.default_rng(seed), n_x, n_s, n_y).q.copy()
+    q[i, :] = q[:, i] = 0.0
+    return validate_spec(c * q, (n_x, n_s, n_y))
 
 
 def generated_spec_3_1():
@@ -495,6 +506,44 @@ class TestVerifyStructure:
             wrong.append(dataclasses.replace(ch, h=0.99 * ch.h))
         for bad in wrong:
             assert not verify_structure(spec, bad).all_pass
+
+    @pytest.mark.parametrize("corrupt", ["q_w", "g"])
+    def test_zero_variance_component_corrupted_fails(self, corrupt):
+        # X_2 = 0, so its row and column of the residual count in unit 1: a
+        # reproduction of it with variance 0.2, or one that leaks Y into it,
+        # fails (a rule that dropped them passed both, at 0.0).
+        spec = zero_variance_spec(0, 2, 2, 1, 1)
+        stats = spec.stats
+        sol = solve_waterfill(spec, stats, 0.5 * (stats.delta_min + stats.trace_xy))
+        ch = optimal_channel(spec, sol)
+        assert verify_structure(spec, ch).all_pass
+        m = getattr(ch, corrupt).copy()
+        if corrupt == "q_w":
+            m[1, 1] += 0.2
+        else:
+            m[1, :] += 0.3
+        report = verify_structure(spec, dataclasses.replace(ch, **{corrupt: m}))
+        assert report.residuals["cond_mean_identity"] > 0.1
+        assert not report.all_pass
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        shape=st.sampled_from([(2, 2), (8, 8), (3, 1), (3, 2), (2, 4)]),
+        seed=st.integers(0, 2**32 - 1),
+        i=st.integers(0, 7),
+        log10_c=st.floats(-9.0, 9.0),
+    )
+    def test_zero_variance_component_channels_pass(self, shape, seed, i, log10_c):
+        # Both front-ends' channels of a spec with X_i = 0, its other
+        # components scaled by 1e-9 to 1e9, pass at fractions 1e-6, 0.3, 0.9.
+        spec = zero_variance_spec(seed, *shape, 2, i % shape[0], 10.0**log10_c)
+        stats = spec.stats
+        lo, hi = stats.delta_min, stats.trace_xy
+        for frac in (1e-6, 0.3, 0.9):
+            sol = solve_waterfill(spec, stats, lo + frac * (hi - lo))
+            for ch in (optimal_channel(spec, sol), build_channel(spec, stats, sol.sigma_delta)):
+                report = verify_structure(spec, ch)
+                assert report.all_pass, (frac, report.residuals)
 
     def test_weak_cross_covariance_is_solved(self):
         # Q_{X,S|Y} = c = 1e-6 is invertible and Q_{S|Y} = 1, so the paper's

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from remoterdf.channel import optimal_channel
+from remoterdf.channel import SimulationResult, optimal_channel
 from remoterdf.cli import CURVE_HEADER, MIN_SAMPLES, REMARK3_HEADER, main, parse_curve_csv
 from remoterdf.core import ConditionalStats, conditional_stats, validate_spec
 from remoterdf.oracle import OracleResolution, brute_force_rdf
@@ -265,6 +265,22 @@ class TestVerify:
         )
         assert code == 3
         assert json.loads(out)["verdict"] == "fail"
+
+    @pytest.mark.parametrize("ses, code", [(3.9, 0), (5.0, 3)])
+    def test_monte_carlo_judged_at_four_standard_errors(self, capsys, spec_path, monkeypatch,
+                                                         ses, code):
+        # An estimate `ses` standard errors above trace(Sigma) passes at 3.9
+        # and fails at 5, whatever the draws.
+        def simulated(spec, ch, n_samples, seed):
+            se = 1e-3
+            return SimulationResult(float(np.trace(ch.sigma_delta)) + ses * se, se, n_samples,
+                                    seed)
+
+        monkeypatch.setattr("remoterdf.cli.simulate_channel", simulated)
+        argv = ["verify", spec_path, "--delta", "0.375", "--samples", "10000", "--seed", "0"]
+        got, out, _ = run(capsys, argv)
+        doc = json.loads(out)
+        assert (got, doc["monte_carlo"]["pass"]) == (code, code == 0)
 
     def test_zero_rate_channel_passes(self, capsys, tmp_path):
         # Above delta_plus the channel sends nothing and X_hat = E(X|Y).

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remoterdf.core import (
+    ConditionalStats,
     conditional_stats,
     symmetric_sqrt,
     validate_spec,
@@ -51,10 +52,12 @@ class TestValidateSpec:
         assert spec.q_s == 1.5 and spec.q_y == 2.0
 
     def test_asymmetric_rejected(self):
-        m = np.eye(3)
-        m[0, 1] = 0.3
-        with pytest.raises(NotSymmetricError):
-            validate_spec(m, (1, 1, 1))
+        # Also 1e-8 ||m||_F, ten times the allowance SYM_TOL_SCALE ||m||_F.
+        for asymmetry in (0.3, 1e-8 * math.sqrt(3.0)):
+            m = np.eye(3)
+            m[0, 1] = asymmetry
+            with pytest.raises(NotSymmetricError):
+                validate_spec(m, (1, 1, 1))
 
     def test_tiny_asymmetry_symmetrized_and_recorded(self):
         m = SCALAR_Q.copy()
@@ -179,6 +182,13 @@ class TestConditionalStats:
             stats = conditional_stats(spec)
             gap = stats.q_x_given_y - q_x_given_sy(spec)
             assert np.min(np.linalg.eigvalsh(gap)) > -1e-10
+
+    def test_active_components_at_the_rank_cutoff(self):
+        # F = diag(1, 1e-9, 1e-13): a component 1e-9 of s_max is observed,
+        # one at 1e-13 is under RANK_TOL and is not.
+        stats = ConditionalStats(q_x_given_y=np.eye(3), q_s_given_y=np.eye(3),
+                                 q_xs_given_y=np.diag([1.0, 1e-9, 1e-13]))
+        assert stats.active.tolist() == [0, 1]
 
 
 class TestSymmetricSqrt:

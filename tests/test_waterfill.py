@@ -262,7 +262,7 @@ class TestSpectralSetup:
             sol = solve_waterfill(spec, stats, delta)
             ch = optimal_channel(spec, sol)
             rate_of_channel(spec, ch)
-            assert ch.stats is stats
+            assert times_taken(factored, stats.q_s_given_y) == 1
             assert spectra == [] and decomposed == []
             ch = build_channel(spec, stats, sol.sigma_delta)
             rate_of_channel(spec, ch)
@@ -607,6 +607,19 @@ class TestRdfCurve:
             assert point.active_count == sol.active_count
             if delta <= hi:
                 assert np.sum(sol.lam) <= setup.trace_xy - delta
+
+    def test_blocks_do_not_change_the_curve(self, monkeypatch):
+        # Blocks of 1 to 3 points over four active components, from below
+        # delta_min to above delta_plus: the curve must be the one-block
+        # curve exactly, so no block may drop or repeat a point.
+        spec = generated_spec(np.random.default_rng(7), 4, 1)
+        stats = spec.stats
+        assert stats.active.size == 4
+        grid = np.linspace(0.9 * stats.delta_min, 1.1 * stats.trace_xy, 41)
+        whole = rdf_curve(spec, grid)
+        for block in (1, 5, 9, 13):
+            monkeypatch.setattr(remoterdf.waterfill, "CURVE_BLOCK", block)
+            assert rdf_curve(spec, grid) == whole
 
     def test_memory_is_bounded_for_long_grids(self):
         # The grid is solved in blocks, so the working arrays do not grow
