@@ -121,7 +121,10 @@ def _channel(spec: GaussianSourceSpec, stats: ConditionalStats, sigma: np.ndarra
              r: np.ndarray, nu: np.ndarray, nu_complement: np.ndarray) -> TestChannel:
     """The channel whose whitened reproduction covariance is R diag(nu) R^T,
     with 1 - nu given as `nu_complement` (formulas in the module docstring)."""
-    u_a, s_a = stats.u[:, stats.active], stats.s[stats.active]
+    # U_a is exactly 0 in the rows of F's zero columns (X_i = 0, or X_i uncorrelated
+    # with S given Y), not SVD rounding that the residual reads in X_i's unit.
+    u_a = np.where(np.any(stats.f, axis=0)[:, None], stats.u[:, stats.active], 0.0)
+    s_a = stats.s[stats.active]
     t = (u_a * s_a) @ r
     v = (stats.f @ u_a / s_a) @ r  # V_a R
     h = (t * nu) @ np.linalg.solve(stats.chol.T, v).T
@@ -230,10 +233,8 @@ def verify_structure(spec: GaussianSourceSpec, channel: TestChannel) -> Structur
     Never raises; reports are for inspection and thresholding at STRUCT_TOL.
     """
     joint = joint_with_reproduction(spec, channel)
-    sx = slice(0, spec.n_x)
-    sxh = slice(spec.n_total, spec.n_total + spec.n_x)
     tail = slice(spec.n_x + spec.n_s, None)  # the (Y, X_hat) columns
-    error = joint[sx, tail] - joint[sxh, tail]
+    error = joint[: spec.n_x, tail] - joint[spec.n_total :, tail]  # X rows less X_hat rows
     var_x = np.diagonal(spec.q_x)
     scaled = in_units(error, var_x, np.concatenate([np.diagonal(spec.q_y), var_x]))
     return StructuralReport(residuals={"cond_mean_identity": float(np.linalg.norm(scaled, "fro"))})

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from remoterdf.channel import (
@@ -201,12 +201,12 @@ def tiny_component_spec():
     return validate_spec(q, (2, 2, 1))
 
 
-def zero_variance_spec(seed, n_x, n_s, n_y, i, c=1.0):
-    """c times a `rectangular_spec` with row and column i zeroed, so that the
-    source component X_i is 0 almost surely."""
+def zero_variance_spec(seed, n_x, n_s, n_y, i):
+    """A `rectangular_spec` with row and column i zeroed, so that the source
+    component X_i is 0 almost surely."""
     q = rectangular_spec(np.random.default_rng(seed), n_x, n_s, n_y).q.copy()
     q[i, :] = q[:, i] = 0.0
-    return validate_spec(c * q, (n_x, n_s, n_y))
+    return validate_spec(q, (n_x, n_s, n_y))
 
 
 def generated_spec_3_1():
@@ -531,12 +531,18 @@ class TestVerifyStructure:
         shape=st.sampled_from([(2, 2), (8, 8), (3, 1), (3, 2), (2, 4)]),
         seed=st.integers(0, 2**32 - 1),
         i=st.integers(0, 7),
-        log10_c=st.floats(-9.0, 9.0),
+        units=st.tuples(*[st.sampled_from([1e-12, 1e-9, 1.0, 1e9, 1e12])] * 3),
     )
-    def test_zero_variance_component_channels_pass(self, shape, seed, i, log10_c):
-        # Both front-ends' channels of a spec with X_i = 0, its other
-        # components scaled by 1e-9 to 1e9, pass at fractions 1e-6, 0.3, 0.9.
-        spec = zero_variance_spec(seed, *shape, 2, i % shape[0], 10.0**log10_c)
+    @example(shape=(8, 8), seed=0, i=3, units=(1e9, 1.0, 1.0))
+    def test_zero_variance_component_channels_pass(self, shape, seed, i, units):
+        # Both front-ends' channels of a spec with X_i = 0, and X, S and Y
+        # each in units of 1e-12 to 1e12, pass at fractions 1e-6, 0.3, 0.9.
+        # X_hat_i must be exactly 0: rounding of 1e-16 relative in row i of
+        # U_a would read in unit 1 as 1e-16 times X's other variances, which
+        # fails at X in units of 1e9 (the example).
+        spec = zero_variance_spec(seed, *shape, 2, i % shape[0])
+        scale = np.repeat(units, [spec.n_x, spec.n_s, spec.n_y])
+        spec = validate_spec(spec.q * np.outer(scale, scale), (*shape, 2))
         stats = spec.stats
         lo, hi = stats.delta_min, stats.trace_xy
         for frac in (1e-6, 0.3, 0.9):
